@@ -27,12 +27,17 @@ def derive_seed(seed: int, *key: int) -> int:
 
 
 def worker_count() -> int:
-    """Worker cap from the IVP_THREADS environment variable (default 1)."""
+    """Worker cap from the IVP_THREADS environment variable (default 1).
+
+    The value is clamped to [1, os.cpu_count()], so a large setting cannot
+    start more threads than the machine has CPUs.
+    """
     raw = os.environ.get("IVP_THREADS", "1")
     try:
-        return max(1, int(raw))
+        requested = int(raw)
     except ValueError:
         return 1
+    return max(1, min(requested, os.cpu_count() or 1))
 
 
 def pmap(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:

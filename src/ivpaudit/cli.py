@@ -140,13 +140,10 @@ def cmd_generic_check(args) -> dict:
 
 def cmd_generic_index(args) -> dict:
     structure = load_structure(args.structure)
-    report = generic.generic_privacy_index(
-        structure, samples=args.samples, seed=args.seed, signed=args.signed
-    )
     estimate = generic.estimate_generic_rank(
         structure, None, samples=args.samples, seed=args.seed, signed=args.signed
     )
-    out = report.to_dict()
+    out = generic._index_report(structure.n, estimate).to_dict()
     out.update({"samples": estimate.samples, "seed": estimate.seed, "agreement": estimate.agreement})
     return out
 

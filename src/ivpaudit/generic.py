@@ -229,7 +229,12 @@ def generic_privacy_index(
 ) -> IndexReport:
     """Generic index n - n_ob_g - 1, with n_ob_g the sampled generic rank of O_ob."""
     estimate = estimate_generic_rank(structure, None, samples=samples, seed=seed, signed=signed)
-    index = structure.n - estimate.n_P_ob - 1
+    return _index_report(structure.n, estimate)
+
+
+def _index_report(n: int, estimate: GenericRankEstimate) -> IndexReport:
+    """Generic index report for an n-node structure from its rank estimate with P empty."""
+    index = n - estimate.n_P_ob - 1
     note = "no level-0 privacy" if index < 0 else None
     return IndexReport(index=index, rank_Oob=estimate.n_P_ob, method="generic", note=note)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from ._util import derive_seed
 from .errors import ConditioningError, ValidationError
@@ -57,7 +57,9 @@ class TrajectoryBatch:
     """N stacked output trajectories with the noise draws that produced them.
 
     Row i of ``Y`` is the stacked output of trajectory i and satisfies
-    Y[i] = O_T x0 + H_T V[i] + W[i] exactly for the recorded draws.
+    Y[i] = O_T x0 + H_T V[i] + W[i] exactly for the recorded draws.  The
+    draws come from one Philox generator re-keyed per trajectory to counter
+    [0, 0, 0, i]; ``V`` and ``W`` are column views of a single draw array.
     """
 
     x0: np.ndarray
@@ -108,15 +110,15 @@ def _noise_factor(sigma: np.ndarray) -> np.ndarray:
 def _draw_noise(sys: LinearSystem, N: int, T: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-trajectory noise from counter-based streams keyed by (seed, index).
 
-    Trajectory i draws from its own Philox stream, so results do not depend
-    on evaluation order or batching.
+    Trajectory i reads the Philox stream with the seed's key and counter
+    [0, 0, 0, i], so results do not depend on evaluation order or batching.
+    One generator is re-keyed per trajectory by resetting its counter and
+    buffer, and each row of a single draw array receives that trajectory's
+    normals; ``V`` and ``W`` are column views of that array.
     """
     n, m = sys.n, sys.m
     len_v = n * T
     len_w = m * (T + 1)
-    key = np.random.SeedSequence(entropy=seed).generate_state(2, np.uint64)
-    V = np.zeros((N, len_v))
-    W = np.zeros((N, len_w))
     noise = sys.noise
     if noise.kind == "general":
         joint = noise.Sigma_T
@@ -126,19 +128,22 @@ def _draw_noise(sys: LinearSystem, N: int, T: int, seed: int) -> tuple[np.ndarra
                 f"got {joint.shape[0]}"
             )
         L = _noise_factor(joint)
-        for i in range(N):
-            g = np.random.Generator(np.random.Philox(counter=[0, 0, 0, i], key=key))
-            z = L @ g.standard_normal(len_v + len_w)
-            V[i] = z[:len_v]
-            W[i] = z[len_v:]
-        return V, W
-    s_nu, s_om = noise.sigma_nu, noise.sigma_omega
+    key = np.random.SeedSequence(entropy=seed).generate_state(2, np.uint64)
+    bitgen = np.random.Philox(key=key)
+    g = np.random.Generator(bitgen)
+    state = bitgen.state  # as constructed: empty buffer, no cached 32-bit word
+    counter = state["state"]["counter"]
+    Z = np.empty((N, len_v + len_w))
     for i in range(N):
-        g = np.random.Generator(np.random.Philox(counter=[0, 0, 0, i], key=key))
-        if len_v:
-            V[i] = s_nu * g.standard_normal(len_v)
-        W[i] = s_om * g.standard_normal(len_w)
-    return V, W
+        counter[3] = i
+        bitgen.state = state
+        g.standard_normal(out=Z[i])
+        if noise.kind == "general":
+            Z[i] = L @ Z[i]
+    if noise.kind == "iid":
+        Z[:, :len_v] *= noise.sigma_nu
+        Z[:, len_v:] *= noise.sigma_omega
+    return Z[:, :len_v], Z[:, len_v:]
 
 
 def simulate(
@@ -278,7 +283,7 @@ def _analytic_cell_probs(mu: float, var: float, edges: np.ndarray) -> np.ndarray
     """Exact per-cell probabilities of a scalar output coordinate."""
     if var > 0:
         sd = np.sqrt(var)
-        cdf = norm.cdf((edges - mu) / sd)
+        cdf = ndtr((edges - mu) / sd)
         return np.diff(cdf)
     probs = np.zeros(len(edges) - 1)
     idx = int(np.searchsorted(edges, mu, side="right") - 1)

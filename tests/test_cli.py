@@ -8,6 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from ivpaudit import generic, load_structure
 from ivpaudit.cli import main
 
 
@@ -204,6 +205,26 @@ class TestGeneric:
         assert payload["rank_Oob"] == 3
         assert payload["agreement"] == 1.0
         assert payload["method"] == "generic"
+
+    def test_generic_index_samples_once(self, capsys, monkeypatch, file_struct_line3):
+        calls = []
+        estimate = generic.estimate_generic_rank
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(generic, "estimate_generic_rank", counted)
+        payload = run_json(
+            capsys,
+            ["generic-index", "--structure", file_struct_line3, "--seed", "7", "--samples", "5"],
+            "generic_index",
+        )
+        assert len(calls) == 1
+        structure = load_structure(file_struct_line3)
+        want = generic.generic_privacy_index(structure, samples=5, seed=7).to_dict()
+        want.update({"samples": 5, "seed": 7, "agreement": 1.0})
+        assert payload == want
 
     def test_node_out_of_range_exits_2(self, capsys, file_struct_line3):
         code, _, err = run_cli(

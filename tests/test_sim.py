@@ -1,10 +1,14 @@
 """Trajectory simulation, the averaging attack, and empirical privacy loss."""
 
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ivpaudit
 from ivpaudit import (
     ConditioningError,
     DpBudget,
@@ -20,6 +24,7 @@ from ivpaudit import (
     report_to_csv,
     simulate,
 )
+from ivpaudit.sim import _noise_factor
 
 
 def noiseless(A, C) -> LinearSystem:
@@ -98,6 +103,76 @@ class TestSimulate:
         system = LinearSystem(n=1, m=1, A=[[10.0]], C=[[1.0]])
         with pytest.raises(ConditioningError, match="magnitude"):
             simulate(system, [1.0], N=1, T=400, seed=0)
+
+
+def reference_normals(seed: int, N: int, length: int) -> np.ndarray:
+    """Row i: the first ``length`` normals of a fresh Philox stream at counter [0, 0, 0, i]."""
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    return np.array([
+        np.random.Generator(np.random.Philox(counter=[0, 0, 0, i], key=key)).standard_normal(length)
+        for i in range(N)
+    ])
+
+
+def general_noise_system(T: int) -> LinearSystem:
+    rng = np.random.default_rng(5)
+    n, m = 3, 2
+    side = n * T + m * (T + 1)
+    root = rng.standard_normal((side, side))
+    return LinearSystem(
+        n=n,
+        m=m,
+        A=rng.standard_normal((n, n)) / 2.0,
+        C=rng.standard_normal((m, n)),
+        noise=NoiseModel.general(root @ root.T),
+    )
+
+
+class TestNoiseStream:
+    """Trajectory i reads the Philox stream with key from the seed and counter [0, 0, 0, i]."""
+
+    @pytest.mark.parametrize("T", [0, 1, 4])
+    @pytest.mark.parametrize("seed", [0, 12345, 2**63 + 977])
+    def test_iid_draws_match_reference_streams(self, T, seed):
+        n, m, N = 3, 2, 7
+        system = LinearSystem(
+            n=n, m=m, A=np.eye(n) * 0.5, C=np.ones((m, n)), noise=NoiseModel.iid(0.7, 1.3)
+        )
+        batch = simulate(system, np.ones(n), N=N, T=T, seed=seed)
+        Z = reference_normals(seed, N, n * T + m * (T + 1))
+        assert batch.V.shape == (N, n * T)
+        np.testing.assert_array_equal(batch.V, 0.7 * Z[:, :n * T])
+        np.testing.assert_array_equal(batch.W, 1.3 * Z[:, n * T:])
+
+    @pytest.mark.parametrize("T", [0, 2])
+    def test_general_draws_match_reference_streams(self, T):
+        system = general_noise_system(T)
+        seed, N = 2**40 + 3, 6
+        batch = simulate(system, np.ones(3), N=N, T=T, seed=seed)
+        L = _noise_factor(system.noise.Sigma_T)
+        Z = reference_normals(seed, N, L.shape[0])
+        want = np.array([L @ z for z in Z])
+        len_v = system.n * T
+        np.testing.assert_array_equal(batch.V, want[:, :len_v])
+        np.testing.assert_array_equal(batch.W, want[:, len_v:])
+
+    def test_general_trajectories_independent_of_batch_size(self):
+        system = general_noise_system(2)
+        small = simulate(system, [2.0, 1.0, -1.0], N=5, T=2, seed=7)
+        large = simulate(system, [2.0, 1.0, -1.0], N=10, T=2, seed=7)
+        np.testing.assert_array_equal(small.Y, large.Y[:5])
+        np.testing.assert_array_equal(small.V, large.V[:5])
+        np.testing.assert_array_equal(small.W, large.W[:5])
+
+
+def test_import_does_not_load_scipy_stats():
+    src = os.path.dirname(os.path.dirname(ivpaudit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, ivpaudit; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestAttack:
