@@ -88,7 +88,7 @@ def cmd_calibrate(args) -> dict:
     system = _require_lti(load_system(args.system))
     budget = dp.DpBudget(epsilon=args.epsilon, delta=args.delta, d=args.d, N=args.N, T=args.T)
     floor = dp.calibrate_sigma_omega(system, budget)
-    norm_OT = float(np.linalg.norm(build_bundle(system, budget.T).O_T, 2))
+    norm_OT = dp._norm_OT(build_bundle(system, budget.T).O_T)
     grid = (
         [float(p) for p in args.epsilon_grid.split(",") if p.strip() != ""]
         if args.epsilon_grid is not None

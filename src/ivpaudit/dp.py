@@ -12,6 +12,12 @@ from below by d^2 N ||O_T||^2 kappa(epsilon, delta)^2, where ``kappa`` is
 the Gaussian-mechanism factor built from the upper tail function Q.  A
 failed check means "not certified by this condition", not a proof that
 privacy is violated.
+
+In the iid case Sigma = sigma_nu^2 S + sigma_omega^2 I with S = H_T H_T^T,
+and S follows from O_T alone: with K = O O^T for O the first mT rows of O_T,
+its m x m blocks obey S[i, j] = S[i-1, j-1] + K[i-1, j-1], block row and
+column 0 being zero.  S is filled one block row at a time from the row above,
+in O(m^2 T^2 n) work, so H_T (m(T+1) x nT) is never formed.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 from scipy.special import erfc, erfcinv
 
 from .errors import ConditioningError, ValidationError
-from .obsv import build_bundle
+from .obsv import build_bundle, stacked_maps
 from .sysmodel import LinearSystem
 
 __all__ = [
@@ -150,13 +156,34 @@ def stacked_noise_covariance(noise, H: np.ndarray) -> np.ndarray:
     return 0.5 * (sigma + sigma.T)
 
 
+def _noise_covariance(sys: LinearSystem, O_T: np.ndarray, T: int) -> np.ndarray:
+    """Covariance of H_T V_T + W_T at horizon T >= 0, given O_T for that horizon.
+
+    The iid case uses the Gram recurrence of the module docstring; only the
+    general case, whose Sigma_T is larger than H_T anyway, builds H_T.
+    """
+    noise = sys.noise
+    if noise.kind != "iid":
+        return stacked_noise_covariance(noise, stacked_maps(sys.A, sys.C, T)[1])
+    m = sys.m
+    rows = m * (T + 1)
+    O = O_T[: m * T]
+    K = O @ O.T
+    S = np.zeros((rows, rows))
+    for i in range(1, T + 1):
+        S[i * m:(i + 1) * m, m:] = S[(i - 1) * m:i * m, : m * T] + K[(i - 1) * m:i * m]
+    sigma = noise.sigma_nu**2 * S + noise.sigma_omega**2 * np.eye(rows)
+    return 0.5 * (sigma + sigma.T)
+
+
 def effective_covariance(sys: LinearSystem, T: int | None = None) -> np.ndarray:
     """Covariance of the stacked noise contribution at horizon T (default n-1)."""
-    return stacked_noise_covariance(sys.noise, build_bundle(sys, T).H_T)
+    bundle = build_bundle(sys, T)
+    return _noise_covariance(sys, bundle.O_T, bundle.T)
 
 
-def _norm_OT(sys: LinearSystem, T: int | None) -> float:
-    return float(np.linalg.norm(build_bundle(sys, T).O_T, 2))
+def _norm_OT(O_T: np.ndarray) -> float:
+    return float(np.linalg.norm(O_T, 2))
 
 
 def check_dp(sys: LinearSystem, budget: DpBudget, refined: bool = False) -> DpVerdict:
@@ -169,11 +196,11 @@ def check_dp(sys: LinearSystem, budget: DpBudget, refined: bool = False) -> DpVe
     with sigma_omega > 0).
     """
     k = kappa(budget.epsilon, budget.delta)
+    if refined and sys.noise.kind != "iid":
+        raise ValidationError("refined: requires the iid noise model")
+    bundle = build_bundle(sys, budget.T)
+    sigma = _noise_covariance(sys, bundle.O_T, bundle.T)
     if refined:
-        if sys.noise.kind != "iid":
-            raise ValidationError("refined: requires the iid noise model")
-        bundle = build_bundle(sys, budget.T)
-        sigma = effective_covariance(sys, budget.T)
         eigs = np.linalg.eigvalsh(sigma)
         if eigs[0] <= 0:
             raise ConditioningError(
@@ -184,9 +211,8 @@ def check_dp(sys: LinearSystem, budget: DpBudget, refined: bool = False) -> DpVe
         rhs = 1.0 / (budget.d**2 * budget.N * k * k)
         ok = lhs <= rhs * (1.0 + BOUNDARY_RTOL)
         return DpVerdict(satisfied=ok, lhs=lhs, rhs=rhs, kappa=k, refined_used=True)
-    sigma = effective_covariance(sys, budget.T)
     lhs = float(np.linalg.eigvalsh(sigma)[0])
-    rhs = budget.d**2 * budget.N * _norm_OT(sys, budget.T) ** 2 * k * k
+    rhs = budget.d**2 * budget.N * _norm_OT(bundle.O_T) ** 2 * k * k
     ok = lhs >= rhs * (1.0 - BOUNDARY_RTOL)
     return DpVerdict(satisfied=ok, lhs=lhs, rhs=rhs, kappa=k, refined_used=False)
 
@@ -197,7 +223,7 @@ def calibrate_sigma_omega(sys: LinearSystem, budget: DpBudget) -> float:
     if sys.noise.kind != "iid":
         raise ValidationError("calibrate_sigma_omega: requires the iid noise model")
     k = kappa(budget.epsilon, budget.delta)
-    return float(budget.d * np.sqrt(budget.N) * _norm_OT(sys, budget.T) * k)
+    return float(budget.d * np.sqrt(budget.N) * _norm_OT(build_bundle(sys, budget.T).O_T) * k)
 
 
 def delta_min(
@@ -216,10 +242,11 @@ def delta_min(
         raise ValidationError(f"d: must be > 0, got {d!r}")
     if not isinstance(N, (int, np.integer)) or N < 1:
         raise ValidationError(f"N: must be an integer >= 1, got {N!r}")
-    sigma = effective_covariance(sys, T)
+    bundle = build_bundle(sys, T)
+    sigma = _noise_covariance(sys, bundle.O_T, bundle.T)
     s_min = float(np.linalg.eigvalsh(sigma)[0])
     if s_min <= 0:
         raise ConditioningError("delta_min: effective covariance is singular")
-    c = d * np.sqrt(N) * _norm_OT(sys, T)
+    c = d * np.sqrt(N) * _norm_OT(bundle.O_T)
     root = np.sqrt(s_min)
     return q_function(epsilon * root / c - c / (2.0 * root))

@@ -8,10 +8,16 @@ where O_T stacks C, CA, ..., CA^T (so the classical observability matrix
 O_ob is the T = n-1 case), V_T stacks the process noises nu_0 .. nu_{T-1},
 W_T stacks the measurement noises omega_0 .. omega_T, and H_T is the lower
 block-triangular Toeplitz map with block (i, j) = C A^(i-j-1) for i > j.
+
+``build_bundle`` stacks O_T only.  H_T is m(T+1) x nT (511 MB at n = 400,
+m = 1) and no verdict or privacy budget reads it (the noise covariance
+follows from O_T, see ``dp``), so a bundle builds H_T on first read of
+``bundle.H_T``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -71,14 +77,24 @@ def stacked_maps(A: np.ndarray, C: np.ndarray, T: int) -> tuple[np.ndarray, np.n
 
 @dataclass(frozen=True, eq=False)
 class ObservabilityBundle:
-    """O_ob, O_T and H_T for one system and horizon (T >= n-1)."""
+    """O_ob and O_T for one system and horizon (T >= n-1).
+
+    ``H_T`` is built from ``A`` and ``C`` on first read, frozen and cached.
+    """
 
     n: int
     m: int
     T: int
+    A: np.ndarray
+    C: np.ndarray
     O_ob: np.ndarray
     O_T: np.ndarray
-    H_T: np.ndarray
+
+    @functools.cached_property
+    def H_T(self) -> np.ndarray:
+        H_T = stacked_maps(self.A, self.C, self.T)[1]
+        H_T.flags.writeable = False
+        return H_T
 
 
 def build_bundle(sys: LinearSystem, T: int | None = None) -> ObservabilityBundle:
@@ -88,11 +104,11 @@ def build_bundle(sys: LinearSystem, T: int | None = None) -> ObservabilityBundle
         T = n - 1
     if T < n - 1:
         raise ValidationError(f"T: horizon must be >= n-1 = {n - 1}, got {T}")
-    O_T, H_T = stacked_maps(sys.A, sys.C, T)
+    O_T = np.vstack(_output_power_blocks(sys.A, sys.C, T + 1))
     O_ob = O_T[: sys.m * n, :]
-    for M in (O_ob, O_T, H_T):
+    for M in (O_ob, O_T):
         M.flags.writeable = False
-    return ObservabilityBundle(n=n, m=sys.m, T=T, O_ob=O_ob, O_T=O_T, H_T=H_T)
+    return ObservabilityBundle(n=n, m=sys.m, T=T, A=sys.A, C=sys.C, O_ob=O_ob, O_T=O_T)
 
 
 def build_tv_observability(sys: TimeVaryingSystem, T: int | None = None) -> np.ndarray:

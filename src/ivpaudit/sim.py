@@ -22,8 +22,8 @@ from scipy.special import ndtr
 
 from ._util import derive_seed
 from .errors import ConditioningError, ValidationError
-from .dp import stacked_noise_covariance
-from .obsv import numerical_rank, stacked_maps
+from .dp import _noise_covariance
+from .obsv import _output_power_blocks, numerical_rank
 from .sysmodel import LinearSystem
 
 __all__ = [
@@ -189,8 +189,8 @@ def mle_attack(sys: LinearSystem, batch: TrajectoryBatch) -> AttackResult:
     exact linear constraints, so purely deterministic releases (including the
     zero-noise case) are inverted rather than rejected.
     """
-    O_T, H_T = stacked_maps(sys.A, sys.C, batch.T)
-    sigma = stacked_noise_covariance(sys.noise, H_T)
+    O_T = np.vstack(_output_power_blocks(sys.A, sys.C, batch.T + 1))
+    sigma = _noise_covariance(sys, O_T, batch.T)
     ybar = batch.Y.mean(axis=0)
 
     lam, U = np.linalg.eigh(sigma)
@@ -339,8 +339,8 @@ def empirical_dp_report(
         simulate(sys, x, int(N_runs), int(T), seed=derive_seed(seed, j))
         for j, x in enumerate(x0s)
     ]
-    O_T, H_T = stacked_maps(sys.A, sys.C, int(T))
-    sigma = stacked_noise_covariance(sys.noise, H_T)
+    O_T = np.vstack(_output_power_blocks(sys.A, sys.C, int(T) + 1))
+    sigma = _noise_covariance(sys, O_T, int(T))
     means = [O_T @ x for x in x0s]
     n_coords = sys.m * (int(T) + 1)
 

@@ -15,10 +15,20 @@ from ivpaudit import (
     check_dp,
     delta_min,
     effective_covariance,
+    empirical_dp_report,
     kappa,
+    mle_attack,
+    node_private,
+    privacy_index,
+    privacy_index_bruteforce,
     q_function,
     q_inverse,
+    simulate,
+    whole_vector_private,
 )
+from ivpaudit import dp, obsv
+from ivpaudit.dp import _noise_covariance, stacked_noise_covariance
+from ivpaudit.obsv import stacked_maps
 
 # kappa(1, 0.05), frozen from the bisection oracle below.
 KAPPA_1_005 = 1.9070400457036372
@@ -304,3 +314,109 @@ class TestDeltaMin:
             delta_min(sys_line2_first, 1.0, d=-1.0, N=1)
         with pytest.raises(ValidationError):
             delta_min(sys_line2_first, 1.0, d=1.0, N=0)
+
+
+def random_iid(rng, n, m, sigma_nu=None, sigma_omega=None) -> LinearSystem:
+    """Dense random system with spectral radius near 1, so powers stay bounded."""
+    return make_iid(
+        rng.standard_normal((n, n)) / np.sqrt(n),
+        rng.standard_normal((m, n)),
+        sigma_nu=float(rng.uniform(0.2, 2)) if sigma_nu is None else sigma_nu,
+        sigma_omega=float(rng.uniform(0.2, 2)) if sigma_omega is None else sigma_omega,
+    )
+
+
+def covariance_via_H(system: LinearSystem, T: int) -> np.ndarray:
+    """The product formula on the materialised noise-stacking map."""
+    return stacked_noise_covariance(system.noise, stacked_maps(system.A, system.C, T)[1])
+
+
+class TestGramCovariance:
+    """The iid covariance from the O_T Gram recurrence equals H_T H_T^T scaled."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("extra", [0, 4])
+    def test_matches_product_formula(self, m, extra):
+        rng = np.random.default_rng(400 + 10 * m + extra)
+        for n in (2, 3, 5, 9, 14):
+            system = random_iid(rng, n, m)
+            T = n - 1 + extra
+            got = effective_covariance(system, T)
+            assert got.shape == (m * (T + 1),) * 2
+            np.testing.assert_allclose(got, covariance_via_H(system, T), rtol=1e-12)
+
+    def test_single_node_horizon_zero(self):
+        system = make_iid([[0.7]], [[1.0], [-2.0]], sigma_nu=1.3, sigma_omega=0.4)
+        np.testing.assert_array_equal(effective_covariance(system, 0), 0.4**2 * np.eye(2))
+        np.testing.assert_array_equal(effective_covariance(system, 0), covariance_via_H(system, 0))
+
+    @pytest.mark.parametrize("zero", ["sigma_nu", "sigma_omega"])
+    def test_zero_noise_levels(self, zero):
+        rng = np.random.default_rng(71)
+        for m in (1, 2, 3):
+            system = random_iid(rng, 6, m, **{zero: 0.0})
+            for T in (5, 9):
+                want = covariance_via_H(system, T)
+                np.testing.assert_allclose(effective_covariance(system, T), want, rtol=1e-12)
+
+    def test_short_horizons_for_simulation(self):
+        # sim reads the covariance at horizons below n-1, where no bundle exists.
+        rng = np.random.default_rng(72)
+        system = random_iid(rng, 7, 2)
+        for T in range(0, 7):
+            O_T = stacked_maps(system.A, system.C, T)[0]
+            want = covariance_via_H(system, T)
+            np.testing.assert_allclose(_noise_covariance(system, O_T, T), want, rtol=1e-12)
+
+    def test_general_noise_unchanged(self):
+        rng = np.random.default_rng(73)
+        for n, m, T in ((2, 1, 1), (3, 2, 2), (4, 1, 6)):
+            base = random_iid(rng, n, m)
+            side = n * T + m * (T + 1)
+            root = rng.standard_normal((side, side))
+            system = LinearSystem(
+                n=n, m=m, A=base.A, C=base.C, noise=NoiseModel.general(root @ root.T / side)
+            )
+            H = stacked_maps(system.A, system.C, T)[1]
+            G = np.hstack([H, np.eye(H.shape[0])])
+            want = G @ system.noise.Sigma_T @ G.T
+            np.testing.assert_array_equal(effective_covariance(system, T), 0.5 * (want + want.T))
+
+
+class TestNoNoiseMapBuilt:
+    """Verdicts and budgets never build H_T; the bundle still serves it on request."""
+
+    @pytest.fixture
+    def no_stacked_maps(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("stacked_maps called: H_T was built")
+
+        monkeypatch.setattr(obsv, "stacked_maps", refuse)
+        monkeypatch.setattr(dp, "stacked_maps", refuse)
+
+    def test_iid_paths_build_no_noise_map(self, no_stacked_maps):
+        rng = np.random.default_rng(74)
+        for n, m in ((2, 1), (6, 1), (8, 2)):
+            system = random_iid(rng, n, m)
+            budget = DpBudget(epsilon=1, delta=0.05, d=1, N=2, T=n + 1)
+            whole_vector_private(system)
+            privacy_index(system)
+            node_private(system, 0, [1])
+            privacy_index_bruteforce(system)
+            check_dp(system, budget)
+            check_dp(system, budget, refined=True)
+            delta_min(system, 1.0, d=1.0, N=2)
+            calibrate_sigma_omega(system, budget)
+            effective_covariance(system)
+            batch = simulate(system, np.ones(n), 5, n - 2, seed=3)
+            mle_attack(system, batch)
+            empirical_dp_report(system, [np.zeros(n), 0.1 * np.ones(n)], 20, seed=4, T=1)
+
+    def test_bundle_builds_noise_map_once_on_read(self):
+        system = random_iid(np.random.default_rng(75), 4, 2)
+        bundle = build_bundle(system, 6)
+        assert "H_T" not in vars(bundle)
+        H = bundle.H_T
+        np.testing.assert_array_equal(H, stacked_maps(system.A, system.C, 6)[1])
+        assert not H.flags.writeable
+        assert bundle.H_T is H
