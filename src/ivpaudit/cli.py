@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dp, generic, intrinsic, sim
 from .errors import ConditioningError, ValidationError
-from .obsv import build_bundle
+from .obsv import build_bundle, null_basis
 from .sysmodel import LinearSystem, load_structure, load_system
 
 
@@ -62,8 +62,9 @@ def _require_lti(system) -> LinearSystem:
 def cmd_audit(args) -> dict:
     system = _require_lti(load_system(args.system))
     bundle = build_bundle(system, args.T)
-    whole = intrinsic.whole_vector_private(system, rank_tol=args.rank_tol)
-    report = intrinsic.privacy_index(system, rank_tol=args.rank_tol)
+    kern = null_basis(bundle.O_ob, args.rank_tol)
+    whole = intrinsic._whole_vector(kern)
+    report = intrinsic._index_report(kern)
     out = {
         "n": system.n,
         "m": system.m,
@@ -78,7 +79,8 @@ def cmd_audit(args) -> dict:
         P = _parse_nodes(args.public)
         verdicts = []
         for i in _parse_nodes(args.node):
-            v = intrinsic.node_private(system, i, P, rank_tol=args.rank_tol)
+            P_i = intrinsic._check_node(system.n, i, P)
+            v = intrinsic._evaluate_node(bundle.O_ob, kern, i, P_i, "all", want_eta=True)
             verdicts.append(v.to_dict(one_based=True))
         out["nodes"] = verdicts
     return out
@@ -219,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node", default="", help="comma-separated 1-based nodes to test")
     p.add_argument("--public", default="", help="comma-separated 1-based disclosure set")
     p.add_argument("--T", type=int, default=None, help="horizon (default n-1)")
-    p.add_argument("--rank-tol", type=float, default=None, help="singular-value cutoff override")
+    p.add_argument("--rank-tol", type=float, default=None, help="cutoff on O_ob's singular values")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("calibrate", help="measurement-noise floor for a privacy budget")

@@ -5,9 +5,14 @@ everywhere and attain their generic value on all but a measure-zero set of
 configurations.  Sampling therefore estimates the generic rank from below:
 the maximum sampled rank is a lower bound that equals the generic value
 with probability one.  Node verdicts run a second, freshly seeded round of
-samples and look for the event that any of three equivalent rank conditions
-holds; observing the event certifies generic privacy outright, while never
-observing it indicates generic loss (correct with probability one).
+samples and look for the certifying event; observing it certifies generic
+privacy outright, while never observing it indicates generic loss (correct
+with probability one).
+
+Each sample takes one SVD of its O_ob (``obsv.null_basis``).  The hidden
+rank rank(O_ob E_Pbar) is (n - |P|) - (k - rank(N_P)) for the null basis N
+with k columns, and the paper's three certifying conditions C1-C3 reduce to
+the one identity hidden rank + [node i private] == n_P_ob + 1.
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from ._util import derive_seed, pmap
-from .errors import ConditioningError, ValidationError
+from .errors import ValidationError
 from .intrinsic import IndexReport, PrivacyVerdict, node_private
-from .obsv import Selector, build_bundle
+from .obsv import build_bundle, null_basis
 from .sysmodel import (
     Configuration,
     DisclosureSet,
@@ -122,15 +127,8 @@ def _sampled_system(structure: NetworkStructure, seed: int, step: int, k: int, s
     return instantiate(structure, config)
 
 
-def _hidden_rank(structure: NetworkStructure, P: DisclosureSet, sys) -> int:
-    O_ob = build_bundle(sys).O_ob
-    sel = Selector.for_nodes(structure.n, P)
-    M = O_ob @ sel.E_Pbar
-    if min(M.shape) == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    tol = float(s[0]) * max(M.shape) * np.finfo(float).eps
-    return int(np.count_nonzero(s > tol))
+def _sampled_kernel(structure: NetworkStructure, seed: int, step: int, k: int, signed: bool):
+    return null_basis(build_bundle(_sampled_system(structure, seed, step, k, signed)).O_ob)
 
 
 def estimate_generic_rank(
@@ -147,40 +145,12 @@ def estimate_generic_rank(
     P.validate_range(structure.n)
 
     def one(k: int) -> int:
-        return _hidden_rank(structure, P, _sampled_system(structure, seed, _STEP_ESTIMATE, k, signed))
+        return _sampled_kernel(structure, seed, _STEP_ESTIMATE, k, signed).hidden_rank(P.nodes)
 
     ranks = pmap(one, range(samples))
     best = max(ranks)
     agreement = sum(1 for r in ranks if r == best) / samples
     return GenericRankEstimate(n_P_ob=best, samples=int(samples), seed=int(seed), agreement=agreement)
-
-
-def _conditions_at(sys, n: int, i: int, P: DisclosureSet, n_P_ob: int) -> bool:
-    """Evaluate the three equivalent certifying conditions at one sample."""
-    O_ob = build_bundle(sys).O_ob
-    sel = Selector.for_nodes(n, P)
-    unpub = list(sel.P.complement(n))
-    others = [j for j in unpub if j != i]
-    e_i = np.zeros((1, n))
-    e_i[0, i] = 1.0
-    full = np.vstack([O_ob, sel.E_P.T, e_i])
-    s_full = np.linalg.svd(full, compute_uv=False)
-    tol = float(s_full[0]) * max(full.shape) * np.finfo(float).eps if s_full.size else 0.0
-
-    def rank_at(M: np.ndarray) -> int:
-        if min(M.shape) == 0:
-            return 0
-        return int(np.count_nonzero(np.linalg.svd(M, compute_uv=False) > tol))
-
-    c1 = rank_at(np.vstack([O_ob, e_i])[:, unpub]) == n_P_ob + 1
-    c2 = rank_at(O_ob[:, others]) == n_P_ob
-    c3 = int(np.count_nonzero(s_full > tol)) == n_P_ob + len(P) + 1
-    if not c1 == c2 == c3:
-        raise ConditioningError(
-            f"certifying conditions disagree at a sample (C1={c1}, C2={c2}, C3={c3}); "
-            "rank tolerance breakdown"
-        )
-    return c1
 
 
 def generic_node_privacy(
@@ -206,8 +176,11 @@ def generic_node_privacy(
     estimate = estimate_generic_rank(structure, P, samples=samples, seed=seed, signed=signed)
 
     def one(k: int) -> bool:
-        sys = _sampled_system(structure, seed, _STEP_VERIFY, k, signed)
-        return _conditions_at(sys, structure.n, i, P, estimate.n_P_ob)
+        # The certifying event: C1, C2 and C3 are this one identity of ranks.
+        kern = _sampled_kernel(structure, seed, _STEP_VERIFY, k, signed)
+        hidden = kern.hidden_rank(P.nodes)
+        private = kern.hidden_rank(P.nodes + (i,)) == hidden
+        return hidden + private == estimate.n_P_ob + 1
 
     hits = pmap(one, range(samples))
     observed = any(hits)

@@ -4,11 +4,17 @@ A hidden node i is private with respect to a disclosure set P exactly when
 its unit vector e_i is not a linear combination of the rows of the
 observability matrix together with the published unit vectors: then two
 initial states differing in x_i[0] can produce identical output statistics.
-Three equivalent rank tests certify this:
+The paper states three equivalent rank tests:
 
   b:        rank(O_ob E_Pbar) == rank of the hidden columns excluding i
   c:        rank([O_ob; E_P^T; e_i^T]) == rank([O_ob; E_P^T]) + 1
   c_prime:  rank([O_ob; e_i^T] E_Pbar) == rank(O_ob E_Pbar) + 1
+
+All three depend only on the null space of O_ob.  One SVD of O_ob
+(``obsv.null_basis``) gives an orthonormal null basis N with k columns:
+node i is private iff row N_i lies outside the row span of N_P, the ranks
+above follow from rank(N_P) and rank(N_{P+i}), the whole vector is private
+iff k > 0, and the privacy index is k - 1.
 
 Whenever the node is private, an explicit non-identifiability direction eta
 (zero on P, nonzero at i, annihilated by the observability map) is attached
@@ -23,9 +29,8 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from ._util import pmap, worker_count
 from .errors import ConditioningError, ValidationError
-from .obsv import Selector, build_bundle, numerical_rank
+from .obsv import NullBasis, build_bundle, null_basis
 from .sysmodel import DisclosureSet, LinearSystem
 
 __all__ = [
@@ -94,33 +99,19 @@ class IndexReport:
         return out
 
 
-def _svals(M: np.ndarray) -> np.ndarray:
-    if min(M.shape) == 0:
-        return np.zeros(0)
-    return np.linalg.svd(M, compute_uv=False)
-
-
-def _rank_at(M: np.ndarray, tol: float) -> int:
-    s = _svals(M)
-    return int(np.count_nonzero(s > tol))
-
-
-def _build_eta(O_ob: np.ndarray, n: int, i: int, others: list[int]) -> np.ndarray:
+def _build_eta(O_ob: np.ndarray, kern: NullBasis, i: int, P: DisclosureSet) -> np.ndarray:
     """Direction eta with eta_i = 1, eta = 0 on P, O_ob @ eta ~ 0.
 
-    Writes column i as a combination of the other hidden columns (least
-    squares) and folds the coefficients back with opposite sign.
+    Projects e_i onto the null directions of O_ob that vanish on P, which
+    gives the shortest such eta.
     """
-    K_minus = O_ob[:, others]
-    K_i = O_ob[:, i]
-    gamma = np.linalg.lstsq(K_minus, K_i, rcond=None)[0]
-    eta = np.zeros(n)
-    eta[i] = 1.0
-    for idx, j in enumerate(others):
-        eta[j] = -gamma[idx]
-    scale = float(np.linalg.norm(O_ob, 2)) * max(1.0, float(np.linalg.norm(eta)))
+    B = kern.vanishing_on(P.nodes)
+    eta = B @ B[i]
+    eta /= eta[i]
+    eta[list(P.nodes)] = 0.0
+    scale = kern.norm * max(1.0, float(np.linalg.norm(eta)))
     residual = float(np.linalg.norm(O_ob @ eta))
-    if residual > ETA_RESIDUAL_RTOL * max(scale, np.finfo(float).tiny):
+    if not residual <= ETA_RESIDUAL_RTOL * max(scale, np.finfo(float).tiny):
         raise ConditioningError(
             f"certificate residual {residual:.3e} exceeds tolerance; "
             "rank decision is too close to the cutoff"
@@ -128,77 +119,39 @@ def _build_eta(O_ob: np.ndarray, n: int, i: int, others: list[int]) -> np.ndarra
     return eta
 
 
-def _evaluate_node(
-    O_ob: np.ndarray,
-    n: int,
-    i: int,
-    P: DisclosureSet,
-    condition: str,
-    rank_tol: float | None,
-    want_eta: bool,
-) -> PrivacyVerdict:
-    sel = Selector.for_nodes(n, P)
-    unpub = list(sel.P.complement(n))
-    others = [j for j in unpub if j != i]
-    e_i = np.zeros((1, n))
-    e_i[0, i] = 1.0
+def _evaluate_node(O_ob, kern: NullBasis, i: int, P: DisclosureSet, condition, want_eta):
+    """Node i is private iff row i of the null basis adds rank to the rows at P.
 
-    O_pbar = O_ob[:, unpub]
-    K_minus = O_ob[:, others]
-    M_cp = np.vstack([O_pbar, e_i[:, unpub]])
-
-    need_c = condition in ("c", "all")
-    if need_c:
-        full = np.vstack([O_ob, sel.E_P.T, e_i])
-        s_big = _svals(full)
-        big_shape = full.shape
-    else:
-        s_big = _svals(M_cp)
-        big_shape = M_cp.shape
-    if rank_tol is None:
-        smax = float(s_big[0]) if s_big.size else 0.0
-        rank_tol = smax * max(big_shape) * np.finfo(float).eps
-
-    rank_Opbar = _rank_at(O_pbar, rank_tol)
-    rank_minus_i = _rank_at(K_minus, rank_tol)
-    rank_with_ei = _rank_at(M_cp, rank_tol)
-
-    b_private = rank_Opbar == rank_minus_i
-    cp_private = rank_with_ei == rank_Opbar + 1
-    verdicts = {"b": b_private, "c_prime": cp_private}
-    if need_c:
-        rank_full = int(np.count_nonzero(s_big > rank_tol))
-        rank_base = _rank_at(np.vstack([O_ob, sel.E_P.T]), rank_tol)
-        verdicts["c"] = rank_full == rank_base + 1
-
-    if condition == "all":
-        distinct = set(verdicts.values())
-        if len(distinct) > 1:
-            raise ConditioningError(
-                f"rank conditions disagree at tolerance {rank_tol:.3e} "
-                f"for node {i}, P={P.nodes}: {verdicts}"
-            )
-        private = b_private
-        certified_by = "b"
-    else:
-        private = verdicts[condition]
-        certified_by = condition
-
-    eta = None
-    if private and want_eta:
-        eta = _build_eta(O_ob, n, i, others)
+    Conditions b, c and c_prime are identities of these ranks, so
+    ``condition`` only names the certificate.
+    """
+    rank_Opbar = kern.hidden_rank(P.nodes)
+    rank_minus_i = kern.hidden_rank(P.nodes + (i,))
+    private = rank_minus_i == rank_Opbar
+    eta = _build_eta(O_ob, kern, i, P) if private and want_eta else None
     return PrivacyVerdict(
         node=i,
-        P=sel.P,
+        P=P,
         private=private,
         ranks={
             "rank_Opbar": rank_Opbar,
             "rank_minus_i": rank_minus_i,
-            "rank_with_ei": rank_with_ei,
+            "rank_with_ei": rank_Opbar + private,
         },
-        certified_by=certified_by,
+        certified_by="b" if condition == "all" else condition,
         eta=eta,
     )
+
+
+def _check_node(n: int, i: int, P) -> DisclosureSet:
+    """Validated disclosure set for a test of node ``i`` in an n-node system."""
+    P = DisclosureSet.coerce(P)
+    P.validate_range(n)
+    if not 0 <= i < n:
+        raise ValidationError(f"node: index {i} out of range [0, {n - 1}]")
+    if i in P:
+        raise ValidationError(f"node: {i} is in the disclosure set; its value is already public")
+    return P
 
 
 def node_private(
@@ -211,39 +164,40 @@ def node_private(
 ) -> PrivacyVerdict:
     """Privacy verdict for hidden node ``i`` under disclosure set ``P``.
 
-    ``condition`` selects the deciding rank test ("b", "c", "c_prime"); the
-    default "all" evaluates every test and raises if they disagree, which
-    only happens when the numerical rank is ambiguous at the tolerance.
+    ``condition`` ("b", "c", "c_prime" or "all") names the rank test that
+    certifies the verdict; all of them are read off one null basis of O_ob,
+    so they cannot disagree.  ``rank_tol`` is the cutoff on the singular
+    values of O_ob.
     """
     if condition not in _CONDITIONS:
         raise ValidationError(f"condition: expected one of {_CONDITIONS}, got {condition!r}")
-    P = DisclosureSet.coerce(P)
-    P.validate_range(sys.n)
-    if not 0 <= i < sys.n:
-        raise ValidationError(f"node: index {i} out of range [0, {sys.n - 1}]")
-    if i in P:
-        raise ValidationError(f"node: {i} is in the disclosure set; its value is already public")
+    P = _check_node(sys.n, i, P)
     O_ob = build_bundle(sys).O_ob
-    return _evaluate_node(O_ob, sys.n, i, P, condition, rank_tol, want_eta)
+    return _evaluate_node(O_ob, null_basis(O_ob, rank_tol), i, P, condition, want_eta)
 
 
-def whole_vector_private(sys: LinearSystem, rank_tol: float | None = None) -> PrivacyVerdict:
-    """Joint test: the full initial state is non-identifiable iff O_ob drops rank."""
-    bundle = build_bundle(sys)
-    rank = numerical_rank(bundle.O_ob, tol=rank_tol)
-    private = rank < sys.n
-    eta = None
-    if private:
-        _, s, Vt = np.linalg.svd(bundle.O_ob)
-        eta = Vt[-1, :].copy()
+def _whole_vector(kern: NullBasis) -> PrivacyVerdict:
+    n = kern.N.shape[0]
+    private = kern.rank < n
     return PrivacyVerdict(
         node="whole-vector",
         P=DisclosureSet(),
         private=private,
-        ranks={"rank_Oob": rank, "n": sys.n},
+        ranks={"rank_Oob": kern.rank, "n": n},
         certified_by="prop1",
-        eta=eta,
+        eta=kern.N[:, -1].copy() if private else None,
     )
+
+
+def whole_vector_private(sys: LinearSystem, rank_tol: float | None = None) -> PrivacyVerdict:
+    """Joint test: the full initial state is non-identifiable iff O_ob drops rank."""
+    return _whole_vector(null_basis(build_bundle(sys).O_ob, rank_tol))
+
+
+def _index_report(kern: NullBasis) -> IndexReport:
+    index = kern.N.shape[1] - 1
+    note = "no level-0 privacy" if index < 0 else None
+    return IndexReport(index=index, rank_Oob=kern.rank, method="formula", note=note)
 
 
 def privacy_index(sys: LinearSystem, rank_tol: float | None = None) -> IndexReport:
@@ -252,27 +206,21 @@ def privacy_index(sys: LinearSystem, rank_tol: float | None = None) -> IndexRepo
     A negative value means no hidden node stays private even with nothing
     published (fully observable network).
     """
-    rank = numerical_rank(build_bundle(sys).O_ob, tol=rank_tol)
-    index = sys.n - rank - 1
-    note = "no level-0 privacy" if index < 0 else None
-    return IndexReport(index=index, rank_Oob=rank, method="formula", note=note)
+    return _index_report(null_basis(build_bundle(sys).O_ob, rank_tol))
 
 
-def _level_holds(O_ob: np.ndarray, n: int, level: int, rank_tol: float | None) -> bool:
+def _level_holds(O_ob: np.ndarray, kern: NullBasis, n: int, level: int) -> bool:
     """True when every disclosure set of the given size leaves a private node."""
 
     def set_ok(P_nodes: tuple) -> bool:
         P = DisclosureSet(P_nodes)
         hidden = (j for j in range(n) if j not in P_nodes)
         return any(
-            _evaluate_node(O_ob, n, j, P, "c_prime", rank_tol, want_eta=False).private
+            _evaluate_node(O_ob, kern, j, P, "c_prime", want_eta=False).private
             for j in hidden
         )
 
-    combos = itertools.combinations(range(n), level)
-    if worker_count() > 1:
-        return all(pmap(set_ok, combos))
-    return all(set_ok(P_nodes) for P_nodes in combos)
+    return all(set_ok(P_nodes) for P_nodes in itertools.combinations(range(n), level))
 
 
 def privacy_index_bruteforce(
@@ -293,12 +241,12 @@ def privacy_index_bruteforce(
     if l_max < 0:
         raise ValidationError(f"l_max: must be >= 0, got {l_max}")
     l_max = min(l_max, n - 1)
-    O_ob = np.asarray(build_bundle(sys).O_ob)
-    rank = numerical_rank(O_ob, tol=rank_tol)
+    O_ob = build_bundle(sys).O_ob
+    kern = null_basis(O_ob, rank_tol)
     achieved = -1
     for level in range(l_max + 1):
-        if not _level_holds(O_ob, n, level, rank_tol):
+        if not _level_holds(O_ob, kern, n, level):
             break
         achieved = level
     note = "no level-0 privacy" if achieved < 0 else None
-    return IndexReport(index=achieved, rank_Oob=rank, method="brute_force", note=note)
+    return IndexReport(index=achieved, rank_Oob=kern.rank, method="brute_force", note=note)

@@ -23,7 +23,7 @@ from scipy.special import ndtr
 from ._util import derive_seed
 from .errors import ConditioningError, ValidationError
 from .dp import _noise_covariance
-from .obsv import _output_power_blocks, numerical_rank
+from .obsv import _output_power_blocks, null_basis, rank_tolerance
 from .sysmodel import LinearSystem
 
 __all__ = [
@@ -194,8 +194,7 @@ def mle_attack(sys: LinearSystem, batch: TrajectoryBatch) -> AttackResult:
     ybar = batch.Y.mean(axis=0)
 
     lam, U = np.linalg.eigh(sigma)
-    tol = max(float(lam[-1]), 0.0) * lam.shape[0] * np.finfo(float).eps
-    noisy = lam > tol
+    noisy = lam > rank_tolerance(sigma, max(float(lam[-1]), 0.0))
     weights = np.empty_like(lam)
     if np.any(noisy):
         weights[noisy] = 1.0 / np.sqrt(lam[noisy])
@@ -210,14 +209,11 @@ def mle_attack(sys: LinearSystem, batch: TrajectoryBatch) -> AttackResult:
     covariance = estimator @ sigma @ estimator.T / batch.N
     residual = float(np.linalg.norm(ybar - O_T @ x0_hat))
 
-    rank = numerical_rank(O_T)
-    identifiable = rank == sys.n
+    kern = null_basis(O_T)
+    identifiable = kern.rank == sys.n
     null_space = None
     if not identifiable:
-        _, s, Vt = np.linalg.svd(O_T)
-        cutoff = (float(s[0]) if s.size else 0.0) * max(O_T.shape) * np.finfo(float).eps
-        keep = int(np.count_nonzero(s > cutoff))
-        null_space = Vt[keep:, :].T.copy()
+        null_space = kern.N.copy()
         covariance = None
     for arr in (x0_hat,) + ((covariance,) if covariance is not None else ()):
         arr.flags.writeable = False

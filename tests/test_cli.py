@@ -8,8 +8,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ivpaudit import generic, load_structure
+import ivpaudit
+from ivpaudit import generic, intrinsic, load_structure, load_system, obsv
 from ivpaudit.cli import main
+from conftest import write_system_file
 
 
 def run_cli(capsys, argv):
@@ -63,6 +65,57 @@ class TestAudit:
         assert verdict["node"] == 1
         assert verdict["P"] == [3]
         assert verdict["private"] is False
+
+    def test_one_bundle_per_job(self, capsys, monkeypatch, file_struct_line3, tmp_path):
+        from ivpaudit import instantiate, save_system
+
+        system = instantiate(load_structure(file_struct_line3), np.ones(5))
+        path = str(tmp_path / "line3_ones.json")
+        save_system(system, path)
+        calls = []
+        build = obsv.build_bundle
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        for module in (ivpaudit, obsv, intrinsic, ivpaudit.cli, ivpaudit.dp, generic):
+            monkeypatch.setattr(module, "build_bundle", counted)
+        payload = run_json(
+            capsys, ["audit", "--system", path, "--node", "1,2", "--public", "3"], "audit"
+        )
+        assert len(calls) == 1
+        monkeypatch.undo()
+        system = load_system(path)
+        assert payload["whole_vector_private"] is intrinsic.whole_vector_private(system).private
+        assert payload["index"] == intrinsic.privacy_index(system).index
+        assert payload["nodes"] == [
+            intrinsic.node_private(system, i, (2,)).to_dict(one_based=True) for i in (0, 1)
+        ]
+
+    def test_rank_tol_flips_audit(self, capsys, tmp_path):
+        path = write_system_file(
+            tmp_path,
+            "weak_sensor.json",
+            {"n": 2, "m": 2, "A": [[0, 0], [0, 0]], "C": [[1, 0], [0, 1e-13]]},
+        )
+        argv = ["audit", "--system", path, "--node", "2"]
+        default = run_json(capsys, argv, "audit")
+        loose = run_json(capsys, argv + ["--rank-tol", "1e-10"], "audit")
+        assert (default["whole_vector_private"], default["index"]) == (False, -1)
+        assert default["nodes"][0]["private"] is False
+        assert (loose["whole_vector_private"], loose["index"]) == (True, 0)
+        assert loose["nodes"][0]["private"] is True
+
+    def test_node_range_and_disclosure_exit_2(self, capsys, file_line2_sum):
+        code, _, err = run_cli(
+            capsys, ["audit", "--system", file_line2_sum, "--node", "1", "--public", "1"]
+        )
+        assert code == 2
+        assert "disclosure" in err
+        code, _, err = run_cli(capsys, ["audit", "--system", file_line2_sum, "--node", "3"])
+        assert code == 2
+        assert "range" in err
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["audit", "--system", str(tmp_path / "no.json")])

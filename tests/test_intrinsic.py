@@ -1,15 +1,19 @@
 """Exact rank-based privacy verdicts and the privacy index."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from ivpaudit import (
     LinearSystem,
+    NetworkStructure,
     ValidationError,
     instantiate,
     node_private,
     privacy_index,
     privacy_index_bruteforce,
+    sample_configuration,
     whole_vector_private,
 )
 from conftest import (
@@ -18,6 +22,38 @@ from conftest import (
     sweep_condition_equivalence,
     sweep_index_agreement,
 )
+
+
+def exact_rank(rows) -> int:
+    """Rank over the rationals by Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def exact_private(system: LinearSystem, i: int, P: tuple) -> bool:
+    """Condition b with O_ob formed in exact arithmetic from the float weights."""
+    A = [[Fraction(float(x)) for x in row] for row in system.A]
+    block = [[Fraction(float(x)) for x in row] for row in system.C]
+    O = []
+    for _ in range(system.n):
+        O += block
+        block = [[sum(b * a for b, a in zip(row, col)) for col in zip(*A)] for row in block]
+    hidden = [j for j in range(system.n) if j not in P]
+    others = [j for j in hidden if j != i]
+    return exact_rank([[r[j] for j in others] for r in O]) == exact_rank(
+        [[r[j] for j in hidden] for r in O]
+    )
 
 
 def chain_with_isolated(n_chain: int, n_isolated: int) -> LinearSystem:
@@ -106,6 +142,24 @@ class TestNodePrivate:
         with pytest.raises(ValidationError, match="condition"):
             node_private(sys_line2_sum, 0, (), condition="d")
 
+    def test_rounding_entry_of_null_basis_stays_not_private(self):
+        # Drawn from random_structure(np.random.default_rng(411), n_max=14),
+        # with the weight seed from the same stream.  The exact null vector of
+        # O_ob is e_1; the computed one has entries near 1e-15 at nodes 2 and
+        # 3, which a row cutoff of tol / sigma_r alone reads as privacy.
+        structure = NetworkStructure(
+            n=4,
+            m=1,
+            edges=((3, 0), (0, 1), (1, 1), (2, 1), (0, 2), (2, 2), (2, 3)),
+            sensor_edges=((2, 0),),
+        )
+        system = instantiate(structure, sample_configuration(structure, seed=4003292661))
+        for i, P in ((3, (0,)), (3, (2,)), (2, (3,))):
+            assert not exact_private(system, i, P)
+            assert not node_private(system, i, P).private
+        assert node_private(system, 1, (0, 2, 3)).private
+        assert exact_private(system, 1, (0, 2, 3))
+
     def test_monotone_loss_under_superset(self):
         # Once a node's privacy is lost it stays lost under larger disclosures.
         rng = np.random.default_rng(411)
@@ -189,6 +243,32 @@ class TestPrivacyIndex:
 
     def test_formula_matches_bruteforce_sweep(self):
         assert sweep_index_agreement(30, seed=2024) == 30
+
+
+class TestRankTolerance:
+    def test_rank_tol_flips_every_verdict_together(self):
+        system = LinearSystem(n=2, m=2, A=np.zeros((2, 2)), C=np.diag([1.0, 1e-13]))
+        assert not whole_vector_private(system).private
+        assert privacy_index(system).index == -1
+        assert not node_private(system, 1, ()).private
+        assert whole_vector_private(system, rank_tol=1e-10).private
+        assert privacy_index(system, rank_tol=1e-10).index == 0
+        verdict = node_private(system, 1, (), rank_tol=1e-10)
+        assert verdict.private
+        np.testing.assert_allclose(verdict.eta, [0.0, 1.0])
+
+    def test_small_gap_keeps_unit_rows_of_the_null_basis(self):
+        # sigma_2 = 1e-14 is just above the default cutoff (2e-15), so the
+        # error bound on the null basis exceeds 1.  The exact null vector e_3
+        # must still make node 3 private, as the whole vector is.
+        system = LinearSystem(n=3, m=3, A=np.zeros((3, 3)), C=np.diag([1.0, 1e-14, 0.0]))
+        assert whole_vector_private(system).private
+        assert node_private(system, 2, ()).private
+        assert node_private(system, 0, (2,)).ranks == {
+            "rank_Opbar": 2,
+            "rank_minus_i": 1,
+            "rank_with_ei": 2,
+        }
 
 
 class TestConditionEquivalence:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -17,9 +17,11 @@ from ivpaudit import (
     build_tv_observability,
     instantiate,
     numerical_rank,
+    rank_tolerance,
     sample_configuration,
     select_columns,
 )
+from ivpaudit.obsv import null_basis
 from conftest import sweep_hidden_rank_identity
 
 
@@ -192,13 +194,56 @@ class TestNumericalRank:
         M=arrays(np.float64, (4, 3), elements=st.floats(-5, 5)),
         extra=arrays(np.float64, (2, 3), elements=st.floats(-5, 5)),
     )
+    @example(
+        M=np.where(np.arange(12).reshape(4, 3) == 0, 0.0, 4.6e-201),
+        extra=np.ones((2, 3)),
+    )
     def test_rank_monotone_under_row_stacking(self, M, extra):
+        # Interlacing makes this hold for one shared cutoff, not for cutoffs
+        # relative to each matrix's own largest singular value.
         stacked = np.vstack([M, extra])
-        assert numerical_rank(stacked) >= numerical_rank(M)
-        assert numerical_rank(stacked) <= numerical_rank(M) + extra.shape[0]
+        tol = rank_tolerance(stacked)
+        assert numerical_rank(stacked, tol) >= numerical_rank(M, tol)
+        assert numerical_rank(stacked, tol) <= numerical_rank(M, tol) + extra.shape[0]
 
     def test_hidden_column_rank_independent_of_horizon(self):
         assert sweep_hidden_rank_identity(40, seed=90210) == 40
+
+
+class TestNullBasis:
+    def test_sum_sensor_null_direction(self, sys_line2_sum):
+        O_ob = build_bundle(sys_line2_sum).O_ob
+        kern = null_basis(O_ob)
+        assert kern.rank == 1
+        assert kern.N.shape == (2, 1)
+        np.testing.assert_allclose(kern.N.T @ kern.N, np.eye(1), atol=1e-12)
+        np.testing.assert_allclose(np.abs(kern.N[:, 0]), [2 ** -0.5, 2 ** -0.5], atol=1e-12)
+        assert kern.N[0, 0] == pytest.approx(-kern.N[1, 0])
+        np.testing.assert_allclose(O_ob @ kern.N, 0.0, atol=1e-12)
+        assert kern.norm == pytest.approx(np.linalg.norm(O_ob, 2))
+
+    def test_shapes_and_cutoffs(self):
+        full = null_basis(np.eye(3))
+        assert (full.rank, full.N.shape) == (3, (3, 0))
+        assert full.tol == rank_tolerance(np.eye(3))
+        wide = null_basis(np.ones((1, 3)))
+        assert (wide.rank, wide.N.shape) == (1, (3, 2))
+        np.testing.assert_allclose(wide.N.T @ wide.N, np.eye(2), atol=1e-12)
+        assert 0.0 < wide.row_tol <= 0.5
+        empty = null_basis(np.zeros((0, 2)))
+        assert (empty.rank, empty.N.shape, empty.row_tol) == (0, (2, 2), 0.0)
+
+    def test_tol_is_the_cutoff_on_singular_values(self):
+        M = np.diag([1.0, 1e-13])
+        assert null_basis(M).rank == 2
+        kern = null_basis(M, tol=1e-10)
+        assert kern.rank == 1
+        np.testing.assert_allclose(np.abs(kern.N[:, 0]), [0.0, 1.0], atol=1e-12)
+
+    def test_not_exported(self):
+        import ivpaudit
+
+        assert "null_basis" not in ivpaudit.__all__
 
 
 class TestSelectors:
@@ -212,6 +257,10 @@ class TestSelectors:
         sel = Selector.for_nodes(4, (1,))
         assert select_columns(M, sel, "public").tolist() == M[:, [1]].tolist()
         assert select_columns(M, sel, "unpublic").tolist() == M[:, [0, 2, 3]].tolist()
+
+    def test_unselected_nonfinite_column_ignored(self):
+        sel = Selector.for_nodes(2, (1,))
+        assert select_columns(np.array([[np.inf, 1.0]]), sel, "public").tolist() == [[1.0]]
 
     def test_empty_disclosure(self):
         sel = Selector.for_nodes(3, ())
