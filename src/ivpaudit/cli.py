@@ -10,6 +10,7 @@ is fully deterministic given its argument list.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys as _sys
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import dp, generic, intrinsic, sim
 from .errors import ConditioningError, ValidationError
 from .obsv import build_bundle, null_basis
-from .sysmodel import LinearSystem, load_structure, load_system
+from .sysmodel import LinearSystem, NoiseModel, load_structure, load_system
 
 
 def _parse_nodes(text: str) -> tuple:
@@ -39,11 +40,11 @@ def _parse_nodes(text: str) -> tuple:
     return tuple(out)
 
 
-def _parse_vector(text: str) -> np.ndarray:
+def _parse_vector(text: str, field: str = "vector") -> np.ndarray:
     try:
         return np.array([float(p) for p in text.split(",") if p.strip() != ""])
     except ValueError:
-        raise ValidationError(f"vector: could not parse {text!r}") from None
+        raise ValidationError(f"{field}: could not parse {text!r}") from None
 
 
 def _parse_vectors(text: str) -> list:
@@ -87,31 +88,33 @@ def cmd_audit(args) -> dict:
 
 
 def cmd_calibrate(args) -> dict:
+    """The floor of ``dp.calibrate_sigma_omega`` and a ``dp.delta_min`` table
+    for the calibrated system, from one bundle, one ||O_T|| and one Sigma."""
     system = _require_lti(load_system(args.system))
     budget = dp.DpBudget(epsilon=args.epsilon, delta=args.delta, d=args.d, N=args.N, T=args.T)
-    floor = dp.calibrate_sigma_omega(system, budget)
-    norm_OT = dp._norm_OT(build_bundle(system, budget.T).O_T)
+    dp._require_iid(system, "calibrate_sigma_omega")
+    k = dp.kappa(budget.epsilon, budget.delta)
+    bundle = build_bundle(system, budget.T)
+    norm_OT = dp._norm_OT(bundle.O_T)
+    c = dp._scale(budget.d, budget.N, norm_OT)
+    floor = float(c * k)
     grid = (
-        [float(p) for p in args.epsilon_grid.split(",") if p.strip() != ""]
+        _parse_vector(args.epsilon_grid, "epsilon-grid").tolist()
         if args.epsilon_grid is not None
         else [budget.epsilon]
     )
     if not grid:
         raise ValidationError("epsilon-grid: empty grid")
-    calibrated = LinearSystem(
-        n=system.n,
-        m=system.m,
-        A=system.A,
-        C=system.C,
-        noise=type(system.noise).iid(system.noise.sigma_nu, floor),
+    calibrated = dataclasses.replace(
+        system, noise=NoiseModel.iid(system.noise.sigma_nu, floor)
     )
+    s_min = dp._sigma_min(calibrated, bundle.O_T, bundle.T)
     table = [
-        {"epsilon": eps, "delta_min": dp.delta_min(calibrated, eps, budget.d, budget.N, budget.T)}
-        for eps in grid
+        {"epsilon": eps, "delta_min": dp._delta_min(dp._epsilon(eps), c, s_min)} for eps in grid
     ]
     return {
         "sigma_omega_floor": floor,
-        "kappa": dp.kappa(budget.epsilon, budget.delta),
+        "kappa": k,
         "norm_OT": norm_OT,
         "delta_min_table": table,
     }

@@ -67,12 +67,18 @@ def q_inverse(p: float) -> float:
     return float(_SQRT2 * erfcinv(2.0 * p))
 
 
+def _epsilon(value) -> float:
+    """``value`` as a float, validated as a privacy budget epsilon > 0."""
+    epsilon = float(value)
+    if not np.isfinite(epsilon) or epsilon <= 0:
+        raise ValidationError(f"epsilon: must be > 0, got {epsilon!r}")
+    return epsilon
+
+
 def kappa(epsilon: float, delta: float) -> float:
     """Gaussian mechanism factor (Q^-1(delta) + sqrt(Q^-1(delta)^2 + 2 eps)) / (2 eps)."""
-    epsilon = float(epsilon)
+    epsilon = _epsilon(epsilon)
     delta = float(delta)
-    if epsilon <= 0 or not np.isfinite(epsilon):
-        raise ValidationError(f"epsilon: must be > 0, got {epsilon!r}")
     if not 0.0 < delta < 0.5:
         raise ValidationError(f"delta: must lie in (0, 0.5), got {delta!r}")
     r = q_inverse(delta)
@@ -182,8 +188,31 @@ def effective_covariance(sys: LinearSystem, T: int | None = None) -> np.ndarray:
     return _noise_covariance(sys, bundle.O_T, bundle.T)
 
 
+def _sigma_min(sys: LinearSystem, O_T: np.ndarray, T: int) -> float:
+    """Smallest eigenvalue of the effective covariance at horizon T, given O_T."""
+    return float(np.linalg.eigvalsh(_noise_covariance(sys, O_T, T))[0])
+
+
 def _norm_OT(O_T: np.ndarray) -> float:
     return float(np.linalg.norm(O_T, 2))
+
+
+def _scale(d: float, N: int, norm_OT: float) -> float:
+    """c = d sqrt(N) ||O_T||: the noise floor is c kappa, and delta_min is read off c."""
+    return d * np.sqrt(N) * norm_OT
+
+
+def _delta_min(epsilon: float, c: float, s_min: float) -> float:
+    """Smallest certifiable delta at ``epsilon`` for scale ``c`` and min eig ``s_min`` of Sigma."""
+    if s_min <= 0:
+        raise ConditioningError("delta_min: effective covariance is singular")
+    root = np.sqrt(s_min)
+    return q_function(epsilon * root / c - c / (2.0 * root))
+
+
+def _require_iid(sys: LinearSystem, field: str) -> None:
+    if sys.noise.kind != "iid":
+        raise ValidationError(f"{field}: requires the iid noise model")
 
 
 def check_dp(sys: LinearSystem, budget: DpBudget, refined: bool = False) -> DpVerdict:
@@ -196,8 +225,8 @@ def check_dp(sys: LinearSystem, budget: DpBudget, refined: bool = False) -> DpVe
     with sigma_omega > 0).
     """
     k = kappa(budget.epsilon, budget.delta)
-    if refined and sys.noise.kind != "iid":
-        raise ValidationError("refined: requires the iid noise model")
+    if refined:
+        _require_iid(sys, "refined")
     bundle = build_bundle(sys, budget.T)
     sigma = _noise_covariance(sys, bundle.O_T, bundle.T)
     if refined:
@@ -220,10 +249,10 @@ def check_dp(sys: LinearSystem, budget: DpBudget, refined: bool = False) -> DpVe
 def calibrate_sigma_omega(sys: LinearSystem, budget: DpBudget) -> float:
     """Smallest measurement-noise level certifying the budget for any
     process-noise level: sigma_omega = d sqrt(N) ||O_T|| kappa."""
-    if sys.noise.kind != "iid":
-        raise ValidationError("calibrate_sigma_omega: requires the iid noise model")
+    _require_iid(sys, "calibrate_sigma_omega")
     k = kappa(budget.epsilon, budget.delta)
-    return float(budget.d * np.sqrt(budget.N) * _norm_OT(build_bundle(sys, budget.T).O_T) * k)
+    norm_OT = _norm_OT(build_bundle(sys, budget.T).O_T)
+    return float(_scale(budget.d, budget.N, norm_OT) * k)
 
 
 def delta_min(
@@ -235,18 +264,11 @@ def delta_min(
     Values >= 0.5 mean the condition certifies nothing in the admissible
     delta range.  Decreasing in epsilon and in the noise floor.
     """
-    epsilon = float(epsilon)
-    if not np.isfinite(epsilon) or epsilon <= 0:
-        raise ValidationError(f"epsilon: must be > 0, got {epsilon!r}")
+    epsilon = _epsilon(epsilon)
     if not np.isfinite(d) or d <= 0:
         raise ValidationError(f"d: must be > 0, got {d!r}")
     if not isinstance(N, (int, np.integer)) or N < 1:
         raise ValidationError(f"N: must be an integer >= 1, got {N!r}")
     bundle = build_bundle(sys, T)
-    sigma = _noise_covariance(sys, bundle.O_T, bundle.T)
-    s_min = float(np.linalg.eigvalsh(sigma)[0])
-    if s_min <= 0:
-        raise ConditioningError("delta_min: effective covariance is singular")
-    c = d * np.sqrt(N) * _norm_OT(bundle.O_T)
-    root = np.sqrt(s_min)
-    return q_function(epsilon * root / c - c / (2.0 * root))
+    s_min = _sigma_min(sys, bundle.O_T, bundle.T)
+    return _delta_min(epsilon, _scale(d, N, _norm_OT(bundle.O_T)), s_min)

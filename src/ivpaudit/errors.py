@@ -13,6 +13,7 @@ class ConditioningError(RuntimeError):
     """Raised when a computation is numerically unreliable.
 
     Examples: matrix powers overflowing the magnitude guard, a singular
-    effective covariance where an inverse is required, or rank conditions
-    that disagree at the working tolerance.
+    effective covariance where an inverse is required, or a privacy
+    certificate eta whose residual ||O_ob eta|| is too large for the rank
+    cutoff.
     """

@@ -22,9 +22,9 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from ._util import derive_seed, pmap
+from ._util import derive_seed
 from .errors import ValidationError
-from .intrinsic import IndexReport, PrivacyVerdict, node_private
+from .intrinsic import IndexReport, PrivacyVerdict, _check_node, node_private
 from .obsv import build_bundle, null_basis
 from .sysmodel import (
     Configuration,
@@ -144,10 +144,10 @@ def estimate_generic_rank(
     P = DisclosureSet.coerce(P)
     P.validate_range(structure.n)
 
-    def one(k: int) -> int:
-        return _sampled_kernel(structure, seed, _STEP_ESTIMATE, k, signed).hidden_rank(P.nodes)
-
-    ranks = pmap(one, range(samples))
+    ranks = [
+        _sampled_kernel(structure, seed, _STEP_ESTIMATE, k, signed).hidden_rank(P.nodes)
+        for k in range(samples)
+    ]
     best = max(ranks)
     agreement = sum(1 for r in ranks if r == best) / samples
     return GenericRankEstimate(n_P_ob=best, samples=int(samples), seed=int(seed), agreement=agreement)
@@ -167,23 +167,17 @@ def generic_node_privacy(
     configurations and watches for the certifying event.  An observed event
     proves generic privacy; an unobserved event indicates generic loss.
     """
-    P = DisclosureSet.coerce(P)
-    P.validate_range(structure.n)
-    if not 0 <= i < structure.n:
-        raise ValidationError(f"node: index {i} out of range [0, {structure.n - 1}]")
-    if i in P:
-        raise ValidationError(f"node: {i} is in the disclosure set")
+    P = _check_node(structure.n, i, P)
     estimate = estimate_generic_rank(structure, P, samples=samples, seed=seed, signed=signed)
 
-    def one(k: int) -> bool:
+    def hit(k: int) -> bool:
         # The certifying event: C1, C2 and C3 are this one identity of ranks.
         kern = _sampled_kernel(structure, seed, _STEP_VERIFY, k, signed)
         hidden = kern.hidden_rank(P.nodes)
         private = kern.hidden_rank(P.nodes + (i,)) == hidden
         return hidden + private == estimate.n_P_ob + 1
 
-    hits = pmap(one, range(samples))
-    observed = any(hits)
+    observed = any(hit(k) for k in range(samples))
     return GenericVerdict(
         node=i,
         P=P,
@@ -207,9 +201,7 @@ def generic_privacy_index(
 
 def _index_report(n: int, estimate: GenericRankEstimate) -> IndexReport:
     """Generic index report for an n-node structure from its rank estimate with P empty."""
-    index = n - estimate.n_P_ob - 1
-    note = "no level-0 privacy" if index < 0 else None
-    return IndexReport(index=index, rank_Oob=estimate.n_P_ob, method="generic", note=note)
+    return IndexReport(index=n - estimate.n_P_ob - 1, rank_Oob=estimate.n_P_ob, method="generic")
 
 
 def dichotomy_report(

@@ -90,7 +90,11 @@ class IndexReport:
     index: int
     rank_Oob: int
     method: str
-    note: str | None = None
+
+    @property
+    def note(self) -> str | None:
+        """The note "no level-0 privacy" for a negative index, else None."""
+        return "no level-0 privacy" if self.index < 0 else None
 
     def to_dict(self) -> dict:
         out = {"index": self.index, "rank_Oob": self.rank_Oob, "method": self.method}
@@ -195,9 +199,7 @@ def whole_vector_private(sys: LinearSystem, rank_tol: float | None = None) -> Pr
 
 
 def _index_report(kern: NullBasis) -> IndexReport:
-    index = kern.N.shape[1] - 1
-    note = "no level-0 privacy" if index < 0 else None
-    return IndexReport(index=index, rank_Oob=kern.rank, method="formula", note=note)
+    return IndexReport(index=kern.N.shape[1] - 1, rank_Oob=kern.rank, method="formula")
 
 
 def privacy_index(sys: LinearSystem, rank_tol: float | None = None) -> IndexReport:
@@ -248,5 +250,4 @@ def privacy_index_bruteforce(
         if not _level_holds(O_ob, kern, n, level):
             break
         achieved = level
-    note = "no level-0 privacy" if achieved < 0 else None
-    return IndexReport(index=achieved, rank_Oob=kern.rank, method="brute_force", note=note)
+    return IndexReport(index=achieved, rank_Oob=kern.rank, method="brute_force")

@@ -200,7 +200,13 @@ class NullBasis(NamedTuple):
 
 
 def null_basis(M: np.ndarray, tol: float | None = None) -> NullBasis:
-    """Rank and null basis of M from one SVD; ``tol`` defaults to :func:`rank_tolerance`."""
+    """Rank and null basis of M from one SVD; ``tol`` defaults to :func:`rank_tolerance`.
+
+    An explicit ``tol`` must be finite and >= 0 (0 counts every nonzero
+    singular value).
+    """
+    if tol is not None and not 0.0 <= tol < np.inf:
+        raise ValidationError(f"rank tolerance: must be finite and >= 0, got {tol!r}")
     n = M.shape[1]
     if min(M.shape) == 0:
         s, Vt = np.zeros(0), np.eye(n)

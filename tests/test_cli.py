@@ -107,6 +107,14 @@ class TestAudit:
         assert (loose["whole_vector_private"], loose["index"]) == (True, 0)
         assert loose["nodes"][0]["private"] is True
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_rank_tol_exits_2(self, capsys, file_line2_first, tol):
+        code, out, err = run_cli(
+            capsys, ["audit", "--system", file_line2_first, "--node", "1", "--rank-tol", tol]
+        )
+        assert (code, out) == (2, "")
+        assert "rank tolerance" in err
+
     def test_node_range_and_disclosure_exit_2(self, capsys, file_line2_sum):
         code, _, err = run_cli(
             capsys, ["audit", "--system", file_line2_sum, "--node", "1", "--public", "1"]
@@ -170,6 +178,73 @@ class TestCalibrate:
         )
         assert code == 2
         assert "grid" in err
+
+    def test_bad_grid_entry_exits_2(self, capsys, file_line2_first):
+        code, _, err = run_cli(
+            capsys,
+            [
+                "calibrate",
+                "--system",
+                file_line2_first,
+                "--epsilon",
+                "1",
+                "--delta",
+                "0.05",
+                "--epsilon-grid",
+                "0.5,abc",
+            ],
+        )
+        assert code == 2
+        assert "epsilon-grid" in err
+
+    def test_one_pass_per_job(self, capsys, monkeypatch, file_line2_first):
+        counts = {"build_bundle": 0, "_noise_covariance": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        bundle = counted("build_bundle", obsv.build_bundle)
+        for module in (ivpaudit, obsv, intrinsic, ivpaudit.cli, ivpaudit.dp, generic):
+            monkeypatch.setattr(module, "build_bundle", bundle)
+        covariance = counted("_noise_covariance", ivpaudit.dp._noise_covariance)
+        monkeypatch.setattr(ivpaudit.dp, "_noise_covariance", covariance)
+        grid = [0.5, 1.0, 2.0]
+        payload = run_json(
+            capsys,
+            [
+                "calibrate",
+                "--system",
+                file_line2_first,
+                "--epsilon",
+                "1",
+                "--delta",
+                "0.05",
+                "--epsilon-grid",
+                ",".join(map(str, grid)),
+            ],
+            "calibrate",
+        )
+        assert counts == {"build_bundle": 1, "_noise_covariance": 1}
+        monkeypatch.undo()
+        system = load_system(file_line2_first)
+        budget = ivpaudit.DpBudget(epsilon=1, delta=0.05, d=1.0, N=1)
+        floor = ivpaudit.calibrate_sigma_omega(system, budget)
+        calibrated = ivpaudit.LinearSystem(
+            n=2, m=1, A=system.A, C=system.C, noise=ivpaudit.NoiseModel.iid(1.0, floor)
+        )
+        assert payload == {
+            "sigma_omega_floor": floor,
+            "kappa": ivpaudit.kappa(1, 0.05),
+            "norm_OT": float(np.linalg.norm(obsv.build_bundle(system).O_T, 2)),
+            "delta_min_table": [
+                {"epsilon": eps, "delta_min": ivpaudit.delta_min(calibrated, eps, 1.0, 1)}
+                for eps in grid
+            ],
+        }
 
     def test_bad_budget_exits_2(self, capsys, file_line2_first):
         code, _, err = run_cli(

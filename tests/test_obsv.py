@@ -189,6 +189,14 @@ class TestNumericalRank:
         with pytest.raises(ValidationError, match="finite"):
             numerical_rank(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(ValidationError, match="rank tolerance"):
+            numerical_rank(np.zeros((3, 3)), tol=tol)
+
+    def test_zero_tolerance_counts_nonzero_singular_values(self):
+        assert numerical_rank(np.diag([1.0, 1e-300, 0.0]), tol=0.0) == 2
+
     @settings(max_examples=30, deadline=None)
     @given(
         M=arrays(np.float64, (4, 3), elements=st.floats(-5, 5)),
