@@ -4,123 +4,27 @@ Rank-based privacy verdicts for initial values observed through noisy
 linear measurements, structure-level (generic) verdicts for weighted
 networks, (epsilon, delta) noise calibration for trajectory releases, and
 an empirical eavesdropper harness.
+
+The public names are those in each module's ``__all__``.
 """
 
-from .errors import ConditioningError, ValidationError
-from .sysmodel import (
-    Configuration,
-    DisclosureSet,
-    LinearSystem,
-    NetworkStructure,
-    NoiseModel,
-    TimeVaryingSystem,
-    instantiate,
-    load_structure,
-    load_system,
-    sample_configuration,
-    save_system,
-    system_to_dict,
-)
-from .obsv import (
-    ObservabilityBundle,
-    Selector,
-    build_bundle,
-    build_tv_observability,
-    numerical_rank,
-    rank_tolerance,
-    select_columns,
-)
-from .intrinsic import (
-    IndexReport,
-    PrivacyVerdict,
-    node_private,
-    privacy_index,
-    privacy_index_bruteforce,
-    whole_vector_private,
-)
-from .dp import (
-    DpBudget,
-    DpVerdict,
-    calibrate_sigma_omega,
-    check_dp,
-    delta_min,
-    effective_covariance,
-    kappa,
-    q_function,
-    q_inverse,
-)
-from .generic import (
-    DichotomyReport,
-    GenericRankEstimate,
-    GenericVerdict,
-    dichotomy_report,
-    estimate_generic_rank,
-    generic_node_privacy,
-    generic_privacy_index,
-)
-from .sim import (
-    AttackResult,
-    EmpiricalDpReport,
-    TrajectoryBatch,
-    batch_to_csv,
-    empirical_dp_report,
-    mle_attack,
-    report_to_csv,
-    simulate,
-)
+from . import dp, errors, generic, intrinsic, obsv, sim, sysmodel
+from .errors import *
+from .sysmodel import *
+from .obsv import *
+from .intrinsic import *
+from .dp import *
+from .generic import *
+from .sim import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConditioningError",
-    "ValidationError",
-    "Configuration",
-    "DisclosureSet",
-    "LinearSystem",
-    "NetworkStructure",
-    "NoiseModel",
-    "TimeVaryingSystem",
-    "instantiate",
-    "load_structure",
-    "load_system",
-    "sample_configuration",
-    "save_system",
-    "system_to_dict",
-    "ObservabilityBundle",
-    "Selector",
-    "build_bundle",
-    "build_tv_observability",
-    "numerical_rank",
-    "rank_tolerance",
-    "select_columns",
-    "IndexReport",
-    "PrivacyVerdict",
-    "node_private",
-    "privacy_index",
-    "privacy_index_bruteforce",
-    "whole_vector_private",
-    "DpBudget",
-    "DpVerdict",
-    "calibrate_sigma_omega",
-    "check_dp",
-    "delta_min",
-    "effective_covariance",
-    "kappa",
-    "q_function",
-    "q_inverse",
-    "DichotomyReport",
-    "GenericRankEstimate",
-    "GenericVerdict",
-    "dichotomy_report",
-    "estimate_generic_rank",
-    "generic_node_privacy",
-    "generic_privacy_index",
-    "AttackResult",
-    "EmpiricalDpReport",
-    "TrajectoryBatch",
-    "batch_to_csv",
-    "empirical_dp_report",
-    "mle_attack",
-    "report_to_csv",
-    "simulate",
+    *errors.__all__,
+    *sysmodel.__all__,
+    *obsv.__all__,
+    *intrinsic.__all__,
+    *dp.__all__,
+    *generic.__all__,
+    *sim.__all__,
 ]

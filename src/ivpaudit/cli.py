@@ -80,7 +80,7 @@ def cmd_audit(args) -> dict:
         P = _parse_nodes(args.public)
         verdicts = []
         for i in _parse_nodes(args.node):
-            P_i = intrinsic._check_node(system.n, i, P)
+            i, P_i = intrinsic._check_node(system.n, i, P)
             v = intrinsic._evaluate_node(bundle.O_ob, kern, i, P_i, "all", want_eta=True)
             verdicts.append(v.to_dict(one_based=True))
         out["nodes"] = verdicts

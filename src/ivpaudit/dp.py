@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc, erfcinv
 
+from ._util import integer, real
 from .errors import ConditioningError, ValidationError
 from .obsv import build_bundle, stacked_maps
 from .sysmodel import LinearSystem
@@ -53,15 +54,12 @@ BOUNDARY_RTOL = 1e-12
 
 def q_function(w: float) -> float:
     """Standard normal upper tail Q(w) = P(Z > w)."""
-    w = float(w)
-    if not np.isfinite(w):
-        raise ValidationError(f"w: must be finite, got {w!r}")
-    return float(0.5 * erfc(w / _SQRT2))
+    return float(0.5 * erfc(real(w, "w") / _SQRT2))
 
 
 def q_inverse(p: float) -> float:
     """Inverse of the upper tail on its useful branch, p in (0, 0.5]."""
-    p = float(p)
+    p = real(p, "p")
     if not 0.0 < p <= 0.5:
         raise ValidationError(f"p: q_inverse requires p in (0, 0.5], got {p!r}")
     return float(_SQRT2 * erfcinv(2.0 * p))
@@ -69,19 +67,32 @@ def q_inverse(p: float) -> float:
 
 def _epsilon(value) -> float:
     """``value`` as a float, validated as a privacy budget epsilon > 0."""
-    epsilon = float(value)
-    if not np.isfinite(epsilon) or epsilon <= 0:
+    epsilon = real(value, "epsilon")
+    if epsilon <= 0:
         raise ValidationError(f"epsilon: must be > 0, got {epsilon!r}")
     return epsilon
+
+
+def _delta(value) -> float:
+    """``value`` as a float, validated as a privacy budget delta in (0, 0.5)."""
+    delta = real(value, "delta")
+    if not 0.0 < delta < 0.5:
+        raise ValidationError(f"delta: must lie in (0, 0.5), got {delta!r}")
+    return delta
+
+
+def _radius(value) -> float:
+    """``value`` as a float, validated as an adjacency radius d > 0."""
+    d = real(value, "d")
+    if d <= 0:
+        raise ValidationError(f"d: adjacency radius must be > 0, got {d!r}")
+    return d
 
 
 def kappa(epsilon: float, delta: float) -> float:
     """Gaussian mechanism factor (Q^-1(delta) + sqrt(Q^-1(delta)^2 + 2 eps)) / (2 eps)."""
     epsilon = _epsilon(epsilon)
-    delta = float(delta)
-    if not 0.0 < delta < 0.5:
-        raise ValidationError(f"delta: must lie in (0, 0.5), got {delta!r}")
-    r = q_inverse(delta)
+    r = q_inverse(_delta(delta))
     return float((r + np.sqrt(r * r + 2.0 * epsilon)) / (2.0 * epsilon))
 
 
@@ -100,22 +111,12 @@ class DpBudget:
     T: int | None = None
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.epsilon) or self.epsilon <= 0:
-            raise ValidationError(f"epsilon: must be > 0, got {self.epsilon!r}")
-        if not 0.0 < self.delta < 0.5:
-            raise ValidationError(f"delta: must lie in (0, 0.5), got {self.delta!r}")
-        if not np.isfinite(self.d) or self.d <= 0:
-            raise ValidationError(f"d: adjacency radius must be > 0, got {self.d!r}")
-        if not isinstance(self.N, (int, np.integer)) or self.N < 1:
-            raise ValidationError(f"N: must be an integer >= 1, got {self.N!r}")
-        if self.T is not None and (not isinstance(self.T, (int, np.integer)) or self.T < 0):
-            raise ValidationError(f"T: must be an integer >= 0, got {self.T!r}")
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        object.__setattr__(self, "delta", float(self.delta))
-        object.__setattr__(self, "d", float(self.d))
-        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "epsilon", _epsilon(self.epsilon))
+        object.__setattr__(self, "delta", _delta(self.delta))
+        object.__setattr__(self, "d", _radius(self.d))
+        object.__setattr__(self, "N", integer(self.N, "N", 1))
         if self.T is not None:
-            object.__setattr__(self, "T", int(self.T))
+            object.__setattr__(self, "T", integer(self.T, "T", 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,11 +265,7 @@ def delta_min(
     Values >= 0.5 mean the condition certifies nothing in the admissible
     delta range.  Decreasing in epsilon and in the noise floor.
     """
-    epsilon = _epsilon(epsilon)
-    if not np.isfinite(d) or d <= 0:
-        raise ValidationError(f"d: must be > 0, got {d!r}")
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise ValidationError(f"N: must be an integer >= 1, got {N!r}")
+    epsilon, d, N = _epsilon(epsilon), _radius(d), integer(N, "N", 1)
     bundle = build_bundle(sys, T)
     s_min = _sigma_min(sys, bundle.O_T, bundle.T)
     return _delta_min(epsilon, _scale(d, N, _norm_OT(bundle.O_T)), s_min)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ConditioningError", "ValidationError"]
+
 
 class ValidationError(ValueError):
     """Raised when inputs violate a documented precondition or schema.

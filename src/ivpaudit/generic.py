@@ -20,10 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-import numpy as np
-
-from ._util import derive_seed
-from .errors import ValidationError
+from ._util import derive_seed, integer
 from .intrinsic import IndexReport, PrivacyVerdict, _check_node, node_private
 from .obsv import build_bundle, null_basis
 from .sysmodel import (
@@ -139,8 +136,8 @@ def estimate_generic_rank(
     signed: bool = False,
 ) -> GenericRankEstimate:
     """Maximum rank of O_ob E_Pbar over ``samples`` random configurations."""
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise ValidationError(f"samples: must be an integer >= 1, got {samples!r}")
+    samples = integer(samples, "samples", 1)
+    seed = integer(seed, "seed", 0)
     P = DisclosureSet.coerce(P)
     P.validate_range(structure.n)
 
@@ -150,7 +147,7 @@ def estimate_generic_rank(
     ]
     best = max(ranks)
     agreement = sum(1 for r in ranks if r == best) / samples
-    return GenericRankEstimate(n_P_ob=best, samples=int(samples), seed=int(seed), agreement=agreement)
+    return GenericRankEstimate(n_P_ob=best, samples=samples, seed=seed, agreement=agreement)
 
 
 def generic_node_privacy(
@@ -167,7 +164,7 @@ def generic_node_privacy(
     configurations and watches for the certifying event.  An observed event
     proves generic privacy; an unobserved event indicates generic loss.
     """
-    P = _check_node(structure.n, i, P)
+    i, P = _check_node(structure.n, i, P)
     estimate = estimate_generic_rank(structure, P, samples=samples, seed=seed, signed=signed)
 
     def hit(k: int) -> bool:

@@ -29,6 +29,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
+from ._util import integer
 from .errors import ConditioningError, ValidationError
 from .obsv import NullBasis, build_bundle, null_basis
 from .sysmodel import DisclosureSet, LinearSystem
@@ -147,15 +148,16 @@ def _evaluate_node(O_ob, kern: NullBasis, i: int, P: DisclosureSet, condition, w
     )
 
 
-def _check_node(n: int, i: int, P) -> DisclosureSet:
-    """Validated disclosure set for a test of node ``i`` in an n-node system."""
+def _check_node(n: int, i: int, P) -> tuple[int, DisclosureSet]:
+    """Validated node index and disclosure set for a test of node ``i`` in an n-node system."""
     P = DisclosureSet.coerce(P)
     P.validate_range(n)
+    i = integer(i, "node")
     if not 0 <= i < n:
         raise ValidationError(f"node: index {i} out of range [0, {n - 1}]")
     if i in P:
         raise ValidationError(f"node: {i} is in the disclosure set; its value is already public")
-    return P
+    return i, P
 
 
 def node_private(
@@ -175,7 +177,7 @@ def node_private(
     """
     if condition not in _CONDITIONS:
         raise ValidationError(f"condition: expected one of {_CONDITIONS}, got {condition!r}")
-    P = _check_node(sys.n, i, P)
+    i, P = _check_node(sys.n, i, P)
     O_ob = build_bundle(sys).O_ob
     return _evaluate_node(O_ob, null_basis(O_ob, rank_tol), i, P, condition, want_eta)
 
@@ -238,11 +240,7 @@ def privacy_index_bruteforce(
         raise ValidationError(
             f"n: brute-force enumeration capped at n <= {BRUTEFORCE_MAX_NODES}, got {n}"
         )
-    if l_max is None:
-        l_max = n - 1
-    if l_max < 0:
-        raise ValidationError(f"l_max: must be >= 0, got {l_max}")
-    l_max = min(l_max, n - 1)
+    l_max = n - 1 if l_max is None else min(integer(l_max, "l_max", 0), n - 1)
     O_ob = build_bundle(sys).O_ob
     kern = null_basis(O_ob, rank_tol)
     achieved = -1

@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._util import integer, real
 from .errors import ConditioningError, ValidationError
 from .sysmodel import DisclosureSet, LinearSystem, TimeVaryingSystem
 
@@ -66,8 +67,7 @@ def stacked_maps(A: np.ndarray, C: np.ndarray, T: int) -> tuple[np.ndarray, np.n
     O_T has shape (m*(T+1), n); H_T has shape (m*(T+1), n*T) with an all-zero
     first block row.
     """
-    if T < 0:
-        raise ValidationError(f"T: horizon must be >= 0, got {T}")
+    T = integer(T, "T", 0)
     n = A.shape[0]
     m = C.shape[0]
     blocks = _output_power_blocks(A, C, T + 1)
@@ -104,8 +104,7 @@ class ObservabilityBundle:
 def build_bundle(sys: LinearSystem, T: int | None = None) -> ObservabilityBundle:
     """Observability bundle at horizon ``T`` (default n-1, the minimum allowed)."""
     n = sys.n
-    if T is None:
-        T = n - 1
+    T = n - 1 if T is None else integer(T, "T")
     if T < n - 1:
         raise ValidationError(f"T: horizon must be >= n-1 = {n - 1}, got {T}")
     O_T = np.vstack(_output_power_blocks(sys.A, sys.C, T + 1))
@@ -121,10 +120,7 @@ def build_tv_observability(sys: TimeVaryingSystem, T: int | None = None) -> np.n
     Block row t is C_t A_{t-1} ... A_0 (block row 0 is C_0).  For constant
     sequences this reproduces O_T of the time-invariant system exactly.
     """
-    if T is None:
-        T = sys.T
-    if T < 0:
-        raise ValidationError(f"T: horizon must be >= 0, got {T}")
+    T = sys.T if T is None else integer(T, "T", 0)
     if T > sys.T:
         raise ValidationError(f"T: sequences cover horizon {sys.T}, got {T}")
     rows = [sys.C_seq[0]]
@@ -205,8 +201,8 @@ def null_basis(M: np.ndarray, tol: float | None = None) -> NullBasis:
     An explicit ``tol`` must be finite and >= 0 (0 counts every nonzero
     singular value).
     """
-    if tol is not None and not 0.0 <= tol < np.inf:
-        raise ValidationError(f"rank tolerance: must be finite and >= 0, got {tol!r}")
+    if tol is not None and real(tol, "rank tolerance") < 0:
+        raise ValidationError(f"rank tolerance: must be >= 0, got {tol!r}")
     n = M.shape[1]
     if min(M.shape) == 0:
         s, Vt = np.zeros(0), np.eye(n)

@@ -20,9 +20,9 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from ._util import derive_seed
+from ._util import derive_seed, integer, real
 from .errors import ConditioningError, ValidationError
-from .dp import _noise_covariance
+from .dp import _noise_covariance, _radius
 from .obsv import _output_power_blocks, null_basis, rank_tolerance
 from .sysmodel import LinearSystem
 
@@ -155,15 +155,12 @@ def simulate(
         raise ValidationError(f"x0: expected length {sys.n}, got {x0.shape[0]}")
     if not np.all(np.isfinite(x0)):
         raise ValidationError("x0: entries must be finite")
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise ValidationError(f"N: must be an integer >= 1, got {N!r}")
-    if T is None:
-        T = sys.n - 1
-    if not isinstance(T, (int, np.integer)) or T < 0:
-        raise ValidationError(f"T: must be an integer >= 0, got {T!r}")
+    N = integer(N, "N", 1)
+    T = sys.n - 1 if T is None else integer(T, "T", 0)
+    seed = integer(seed, "seed", 0)
 
     n, m = sys.n, sys.m
-    V, W = _draw_noise(sys, int(N), int(T), seed)
+    V, W = _draw_noise(sys, N, T, seed)
     Y = np.zeros((N, m * (T + 1)))
     x = np.broadcast_to(x0, (N, n)).copy()
     for t in range(T + 1):
@@ -179,7 +176,7 @@ def simulate(
         arr.flags.writeable = False
     frozen_x0 = x0.copy()
     frozen_x0.flags.writeable = False
-    return TrajectoryBatch(x0=frozen_x0, N=int(N), T=int(T), Y=Y, seed=int(seed), V=V, W=W)
+    return TrajectoryBatch(x0=frozen_x0, N=N, T=T, Y=Y, seed=seed, V=V, W=W)
 
 
 def mle_attack(sys: LinearSystem, batch: TrajectoryBatch) -> AttackResult:
@@ -303,8 +300,8 @@ def empirical_dp_report(
     """Simulate each initial value and compare output histograms pairwise.
 
     ``bins`` overrides the Freedman-Diaconis bin count; edges are shared
-    across initial values per coordinate (pooled data).  When ``d`` is given,
-    all pairs are checked to be within the adjacency radius.
+    across initial values per coordinate (pooled data).  When ``d`` (> 0) is
+    given, all pairs are checked to be within the adjacency radius.
     """
     x0s = [np.asarray(x, dtype=float).reshape(-1) for x in x0_list]
     if len(x0s) < 2:
@@ -312,15 +309,16 @@ def empirical_dp_report(
     for k, x in enumerate(x0s):
         if x.shape[0] != sys.n:
             raise ValidationError(f"x0_list[{k}]: expected length {sys.n}, got {x.shape[0]}")
-    if not isinstance(N_runs, (int, np.integer)) or N_runs < 1:
-        raise ValidationError(f"N_runs: must be an integer >= 1, got {N_runs!r}")
+    N_runs = integer(N_runs, "N_runs", 1)
+    delta = real(delta, "delta")
     if not 0.0 <= delta < 0.5:
         raise ValidationError(f"delta: must lie in [0, 0.5), got {delta!r}")
-    if min_count < 1:
-        raise ValidationError(f"min_count: must be >= 1, got {min_count!r}")
-    if bins is not None and (not isinstance(bins, (int, np.integer)) or bins < 1):
-        raise ValidationError(f"bins: must be an integer >= 1, got {bins!r}")
+    min_count = integer(min_count, "min_count", 1)
+    bins = "fd" if bins is None else integer(bins, "bins", 1)
+    seed = integer(seed, "seed", 0)
+    T = sys.n - 1 if T is None else integer(T, "T", 0)
     if d is not None:
+        d = _radius(d)
         for a in range(len(x0s)):
             for b in range(a + 1, len(x0s)):
                 dist = float(np.linalg.norm(x0s[a] - x0s[b]))
@@ -328,23 +326,20 @@ def empirical_dp_report(
                     raise ValidationError(
                         f"x0_list: values {a} and {b} are {dist:.6g} apart, beyond adjacency d={d}"
                     )
-    if T is None:
-        T = sys.n - 1
 
     batches = [
-        simulate(sys, x, int(N_runs), int(T), seed=derive_seed(seed, j))
-        for j, x in enumerate(x0s)
+        simulate(sys, x, N_runs, T, seed=derive_seed(seed, j)) for j, x in enumerate(x0s)
     ]
-    O_T = np.vstack(_output_power_blocks(sys.A, sys.C, int(T) + 1))
-    sigma = _noise_covariance(sys, O_T, int(T))
+    O_T = np.vstack(_output_power_blocks(sys.A, sys.C, T + 1))
+    sigma = _noise_covariance(sys, O_T, T)
     means = [O_T @ x for x in x0s]
-    n_coords = sys.m * (int(T) + 1)
+    n_coords = sys.m * (T + 1)
 
     edges_all = []
     counts_all = []
     for r in range(n_coords):
         pooled = np.concatenate([b.Y[:, r] for b in batches])
-        edges = np.histogram_bin_edges(pooled, bins="fd" if bins is None else int(bins))
+        edges = np.histogram_bin_edges(pooled, bins=bins)
         counts = np.vstack([np.histogram(b.Y[:, r], bins=edges)[0] for b in batches])
         edges_all.append(edges)
         counts_all.append(counts)
@@ -387,11 +382,11 @@ def empirical_dp_report(
 
     return EmpiricalDpReport(
         x0_list=tuple(x0s),
-        N_runs=int(N_runs),
-        T=int(T),
-        seed=int(seed),
-        delta=float(delta),
-        min_count=int(min_count),
+        N_runs=N_runs,
+        T=T,
+        seed=seed,
+        delta=delta,
+        min_count=min_count,
         bin_edges=tuple(edges_all),
         counts=tuple(counts_all),
         eps_hat=float(eps_by_coord.max(initial=0.0)),

@@ -32,6 +32,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
+from ._util import integer, real
 from .errors import ValidationError
 
 __all__ = [
@@ -113,9 +114,10 @@ class NoiseModel:
             raise ValidationError(f"noise.kind: expected 'iid' or 'general', got {self.kind!r}")
         if self.kind == "iid":
             for name in ("sigma_nu", "sigma_omega"):
-                val = getattr(self, name)
-                if not np.isfinite(val) or val < 0:
-                    raise ValidationError(f"noise.{name}: must be a finite value >= 0, got {val!r}")
+                val = real(getattr(self, name), f"noise.{name}")
+                if val < 0:
+                    raise ValidationError(f"noise.{name}: must be >= 0, got {val!r}")
+                object.__setattr__(self, name, val)
             if self.Sigma_T is not None:
                 raise ValidationError("noise.SigmaT: only allowed when kind == 'general'")
         else:
@@ -126,11 +128,11 @@ class NoiseModel:
 
     @classmethod
     def iid(cls, sigma_nu: float, sigma_omega: float) -> "NoiseModel":
-        return cls(kind="iid", sigma_nu=float(sigma_nu), sigma_omega=float(sigma_omega))
+        return cls(kind="iid", sigma_nu=sigma_nu, sigma_omega=sigma_omega)
 
     @classmethod
     def general(cls, Sigma_T) -> "NoiseModel":
-        return cls(kind="general", Sigma_T=np.asarray(Sigma_T, dtype=float))
+        return cls(kind="general", Sigma_T=Sigma_T)
 
     def to_dict(self) -> dict:
         if self.kind == "iid":
@@ -156,16 +158,12 @@ class LinearSystem:
     require_output: InitVar[bool] = True
 
     def __post_init__(self, require_output: bool) -> None:
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValidationError(f"n: must be a positive integer, got {self.n!r}")
-        if not isinstance(self.m, (int, np.integer)) or self.m < 1:
-            raise ValidationError(f"m: must be a positive integer, got {self.m!r}")
+        object.__setattr__(self, "n", integer(self.n, "n", 1))
+        object.__setattr__(self, "m", integer(self.m, "m", 1))
         A = _as_float_matrix(self.A, "A", rows=self.n, cols=self.n)
         C = _as_float_matrix(self.C, "C", rows=self.m, cols=self.n)
         if require_output and not np.any(C != 0.0):
             raise ValidationError("C: rank(C) = 0; at least one output coefficient must be nonzero")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "A", _freeze(A))
         object.__setattr__(self, "C", _freeze(C))
 
@@ -185,10 +183,8 @@ class TimeVaryingSystem:
     noise: NoiseModel = field(default_factory=lambda: NoiseModel.iid(0.0, 0.0))
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValidationError(f"n: must be a positive integer, got {self.n!r}")
-        if not isinstance(self.m, (int, np.integer)) or self.m < 1:
-            raise ValidationError(f"m: must be a positive integer, got {self.m!r}")
+        object.__setattr__(self, "n", integer(self.n, "n", 1))
+        object.__setattr__(self, "m", integer(self.m, "m", 1))
         A_seq = tuple(_freeze(_as_float_matrix(a, f"A_seq[{k}]", rows=self.n, cols=self.n))
                       for k, a in enumerate(self.A_seq))
         C_seq = tuple(_freeze(_as_float_matrix(c, f"C_seq[{k}]", rows=self.m, cols=self.n))
@@ -199,8 +195,6 @@ class TimeVaryingSystem:
             )
         if not any(np.any(c != 0.0) for c in C_seq):
             raise ValidationError("C_seq: all output maps are zero")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "A_seq", A_seq)
         object.__setattr__(self, "C_seq", C_seq)
 
@@ -216,9 +210,7 @@ def _check_edges(edges, n_src: int, n_dst: int, path: str, src_name: str, dst_na
         pair = tuple(pair)
         if len(pair) != 2:
             raise ValidationError(f"{path}[{k}]: expected a (source, target) pair, got {pair!r}")
-        src, dst = pair
-        if not isinstance(src, (int, np.integer)) or not isinstance(dst, (int, np.integer)):
-            raise ValidationError(f"{path}[{k}]: indices must be integers, got {pair!r}")
+        src, dst = (integer(v, f"{path}[{k}]") for v in pair)
         if not 0 <= src < n_src:
             raise ValidationError(f"{path}[{k}]: {src_name} index {src} out of range [0, {n_src - 1}]")
         if not 0 <= dst < n_dst:
@@ -226,7 +218,7 @@ def _check_edges(edges, n_src: int, n_dst: int, path: str, src_name: str, dst_na
         if (src, dst) in seen:
             raise ValidationError(f"{path}[{k}]: duplicate entry {pair!r}")
         seen.add((src, dst))
-        out.append((int(src), int(dst)))
+        out.append((src, dst))
     return out
 
 
@@ -248,10 +240,8 @@ class NetworkStructure:
     sensor_edges: tuple = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValidationError(f"n: must be a positive integer, got {self.n!r}")
-        if not isinstance(self.m, (int, np.integer)) or self.m < 1:
-            raise ValidationError(f"m: must be a positive integer, got {self.m!r}")
+        object.__setattr__(self, "n", integer(self.n, "n", 1))
+        object.__setattr__(self, "m", integer(self.m, "m", 1))
         edges = _check_edges(self.edges, self.n, self.n, "edges", "source node", "target node")
         sensor_edges = _check_edges(
             self.sensor_edges, self.n, self.m, "sensor_edges", "source node", "sensor"
@@ -262,8 +252,6 @@ class NetworkStructure:
                 raise ValidationError(f"sensor_edges: sensor {s} has no incident edge")
         edges.sort(key=lambda e: (e[1], e[0]))
         sensor_edges.sort(key=lambda e: (e[1], e[0]))
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "sensor_edges", tuple(sensor_edges))
 
@@ -309,12 +297,11 @@ class DisclosureSet:
         nodes = []
         seen = set()
         for k, i in enumerate(self.nodes):
-            if not isinstance(i, (int, np.integer)):
-                raise ValidationError(f"disclosure[{k}]: node index must be an integer, got {i!r}")
+            i = integer(i, f"disclosure[{k}]")
             if i in seen:
                 raise ValidationError(f"disclosure[{k}]: duplicate node {i}")
-            seen.add(int(i))
-            nodes.append(int(i))
+            seen.add(i)
+            nodes.append(i)
         object.__setattr__(self, "nodes", tuple(nodes))
 
     @classmethod
@@ -389,49 +376,34 @@ def sample_configuration(
     With ``signed=True`` weights are uniform on [-1, 1] instead, which covers
     sign-cancellation phenomena that positive weights cannot reach.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer(seed, "seed", 0))
     lo = -1.0 if signed else 0.0
     theta = rng.uniform(lo, 1.0, size=structure.n_weights)
     return Configuration(theta)
 
 
-def _parse_noise(raw, path: str = "noise") -> NoiseModel:
+def _parse_noise(raw) -> NoiseModel:
+    """The "noise" block; ``NoiseModel`` checks its fields under the same names.
+
+    An iid block's "SigmaT" key is ignored, so such files keep loading.
+    """
     if raw is None:
         return NoiseModel.iid(0.0, 0.0)
     if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: expected an object")
+        raise ValidationError("noise: expected an object")
     kind = raw.get("kind")
-    if kind == "iid":
-        return NoiseModel.iid(
-            _require_number(raw, "sigma_nu", path, default=0.0),
-            _require_number(raw, "sigma_omega", path, default=0.0),
-        )
-    if kind == "general":
-        if "SigmaT" not in raw:
-            raise ValidationError(f"{path}.SigmaT: required when kind == 'general'")
-        return NoiseModel.general(_as_float_matrix(raw["SigmaT"], f"{path}.SigmaT"))
-    raise ValidationError(f"{path}.kind: expected 'iid' or 'general', got {kind!r}")
+    return NoiseModel(
+        kind=kind,
+        sigma_nu=raw.get("sigma_nu", 0.0),
+        sigma_omega=raw.get("sigma_omega", 0.0),
+        Sigma_T=raw.get("SigmaT") if kind == "general" else None,
+    )
 
 
-def _require_number(raw: dict, name: str, path: str, default=None) -> float:
-    if name not in raw:
-        if default is not None:
-            return default
-        raise ValidationError(f"{path}.{name}: missing")
-    val = raw[name]
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ValidationError(f"{path}.{name}: expected a number, got {val!r}")
-    return float(val)
-
-
-def _require_int(raw: dict, name: str, path: str = "") -> int:
-    key = f"{path}.{name}" if path else name
-    if name not in raw:
-        raise ValidationError(f"{key}: missing")
-    val = raw[name]
-    if not isinstance(val, int) or isinstance(val, bool):
-        raise ValidationError(f"{key}: expected an integer, got {val!r}")
-    return val
+def _require(raw: dict, *names: str) -> None:
+    for name in names:
+        if name not in raw:
+            raise ValidationError(f"{name}: missing")
 
 
 def _parse_structure(raw: dict, n: int, m: int, path: str = "structure") -> NetworkStructure:
@@ -447,9 +419,7 @@ def _parse_structure(raw: dict, n: int, m: int, path: str = "structure") -> Netw
         for k, pair in enumerate(pairs):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ValidationError(f"{path}.{name}[{k}]: expected a pair, got {pair!r}")
-            a, b = pair
-            if not isinstance(a, int) or not isinstance(b, int) or isinstance(a, bool) or isinstance(b, bool):
-                raise ValidationError(f"{path}.{name}[{k}]: indices must be integers, got {pair!r}")
+            a, b = (integer(v, f"{path}.{name}[{k}]") for v in pair)
             if a < 1 or b < 1:
                 raise ValidationError(f"{path}.{name}[{k}]: file indices are 1-based, got {pair!r}")
             out.append((a - 1, b - 1))
@@ -478,37 +448,27 @@ def _load_json(path) -> dict:
 def load_system(path) -> Union[LinearSystem, TimeVaryingSystem]:
     """Parse a system file; returns the time-varying type when "A_seq" is present."""
     raw = _load_json(path)
-    n = _require_int(raw, "n")
-    m = _require_int(raw, "m")
+    _require(raw, "n", "m")
     noise = _parse_noise(raw.get("noise"))
     if "A_seq" in raw or "C_seq" in raw:
         for name in ("A_seq", "C_seq"):
             if name not in raw or not isinstance(raw[name], list):
                 raise ValidationError(f"{name}: missing or not a list of matrices")
         return TimeVaryingSystem(
-            n=n, m=m, A_seq=tuple(raw["A_seq"]), C_seq=tuple(raw["C_seq"]), noise=noise
+            n=raw["n"], m=raw["m"], A_seq=tuple(raw["A_seq"]), C_seq=tuple(raw["C_seq"]), noise=noise
         )
-    for name in ("A", "C"):
-        if name not in raw:
-            raise ValidationError(f"{name}: missing")
-    return LinearSystem(
-        n=n,
-        m=m,
-        A=_as_float_matrix(raw["A"], "A", rows=n, cols=n),
-        C=_as_float_matrix(raw["C"], "C", rows=m, cols=n),
-        noise=noise,
-    )
+    _require(raw, "A", "C")
+    return LinearSystem(n=raw["n"], m=raw["m"], A=raw["A"], C=raw["C"], noise=noise)
 
 
 def load_structure(path) -> NetworkStructure:
     """Parse a structure file, or the "structure" block of a system file."""
     raw = _load_json(path)
-    n = _require_int(raw, "n")
-    m = _require_int(raw, "m")
+    _require(raw, "n", "m")
     block = raw.get("structure", raw if "edges" in raw else None)
     if block is None:
         raise ValidationError("structure: missing (expected 'edges'/'sensor_edges')")
-    return _parse_structure(block, n, m)
+    return _parse_structure(block, raw["n"], raw["m"])
 
 
 def system_to_dict(sys: Union[LinearSystem, TimeVaryingSystem]) -> dict:

@@ -475,3 +475,21 @@ class TestSimulate:
             ["simulate", "--system", file_struct_line3, "--x0", "1,1,1", "--N", "5", "--seed", "1"],
         )
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--system", "{system}", "--x0", "2,1", "--N", "5"],
+        ["attack", "--system", "{system}", "--x0", "2,1", "--N", "5"],
+        ["generic-check", "--structure", "{structure}", "--node", "1"],
+        ["generic-index", "--structure", "{structure}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_exits_2(capsys, file_line2_sum, file_struct_line3, argv):
+    argv = [a.format(system=file_line2_sum, structure=file_struct_line3) for a in argv]
+    code, out, err = run_cli(capsys, argv + ["--seed", "-1"])
+    assert code == 2
+    assert err.startswith("error: seed")
+    assert "Traceback" not in err and out == ""
