@@ -6,6 +6,11 @@ observability map.  For identifiable systems this is the maximum-likelihood
 estimate of the initial value; for unobservable systems the minimum-norm
 solution is returned together with the unidentifiable directions.
 
+``simulate`` runs the recurrence over chunks of trajectories whose noise
+draws fit in ``CHUNK_BYTES`` and keeps only the outputs ``Y``.  A batch
+regenerates its noise draws from the seed when they are read, so memory
+grows with the outputs, not with the noise.
+
 The empirical probe compares per-coordinate output histograms between
 adjacent initial values and extracts the worst-case likelihood-ratio bound
 that the samples support, which lower-bounds the true privacy loss.
@@ -14,7 +19,8 @@ that the samples support, which lower-bounds the true privacy loss.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +46,12 @@ __all__ = [
 #: Magnitude guard for simulated states.
 STATE_OVERFLOW_LIMIT = 1e150
 
+#: Bytes of noise draws per chunk of trajectories in ``simulate``: a chunk
+#: holds as many rows of n*T + m*(T+1) float64 draws as fit, rounded down to
+#: a multiple of 8 rows (at least 8), and the last chunk also takes the
+#: remainder, so ``simulate`` holds at most twice this in draws.
+CHUNK_BYTES = 4 * 2**20
+
 #: Histogram cells enter ratio estimates only with at least this many samples.
 DEFAULT_MIN_COUNT = 10
 
@@ -54,12 +66,13 @@ DECISIVE_ZERO_COUNT = 100
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryBatch:
-    """N stacked output trajectories with the noise draws that produced them.
+    """N stacked output trajectories and the seed of the noise that produced them.
 
     Row i of ``Y`` is the stacked output of trajectory i and satisfies
-    Y[i] = O_T x0 + H_T V[i] + W[i] exactly for the recorded draws.  The
-    draws come from one Philox generator re-keyed per trajectory to counter
-    [0, 0, 0, i]; ``V`` and ``W`` are column views of a single draw array.
+    Y[i] = O_T x0 + H_T V[i] + W[i] exactly.  The draws come from one Philox
+    generator re-keyed per trajectory to counter [0, 0, 0, i].  Only ``Y`` is
+    stored: ``V`` and ``W`` are regenerated from (system, N, T, seed) on first
+    read, bit for bit, then frozen and cached as column views of one array.
     """
 
     x0: np.ndarray
@@ -67,8 +80,25 @@ class TrajectoryBatch:
     T: int
     Y: np.ndarray
     seed: int
-    V: np.ndarray
-    W: np.ndarray
+    system: LinearSystem = field(repr=False)
+
+    @functools.cached_property
+    def _noise(self) -> tuple[np.ndarray, np.ndarray]:
+        L = _general_factor(self.system, self.T)
+        V, W = _draw_noise(self.system, self.N, self.T, self.seed, 0, L)
+        for arr in (V, W):
+            arr.flags.writeable = False
+        return V, W
+
+    @property
+    def V(self) -> np.ndarray:
+        """Process noise, N x n*T."""
+        return self._noise[0]
+
+    @property
+    def W(self) -> np.ndarray:
+        """Measurement noise, N x m*(T+1)."""
+        return self._noise[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,27 +137,37 @@ def _noise_factor(sigma: np.ndarray) -> np.ndarray:
     return U * np.sqrt(lam)
 
 
-def _draw_noise(sys: LinearSystem, N: int, T: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trajectory noise from counter-based streams keyed by (seed, index).
+def _general_factor(sys: LinearSystem, T: int) -> np.ndarray | None:
+    """The factor of general noise's Sigma_T at horizon T; None for iid noise."""
+    noise = sys.noise
+    if noise.kind != "general":
+        return None
+    side = sys.n * T + sys.m * (T + 1)
+    if noise.Sigma_T.shape[0] != side:
+        raise ValidationError(
+            f"noise.SigmaT: expected side {side} = n*T + m*(T+1) at T={T}, "
+            f"got {noise.Sigma_T.shape[0]}"
+        )
+    return _noise_factor(noise.Sigma_T)
+
+
+def _draw_noise(
+    sys: LinearSystem, N: int, T: int, seed: int, start: int, L: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Noise of trajectories start, ..., start + N - 1 from streams keyed by (seed, index).
 
     Trajectory i reads the Philox stream with the seed's key and counter
-    [0, 0, 0, i], so results do not depend on evaluation order or batching.
-    One generator is re-keyed per trajectory by resetting its counter and
-    buffer, and each row of a single draw array receives that trajectory's
-    normals; ``V`` and ``W`` are column views of that array.
+    [0, 0, 0, i], so its draws do not depend on N, ``start`` or how a batch
+    is split into chunks.  One generator is re-keyed per trajectory by
+    resetting its counter and buffer, and each row of a single draw array
+    receives that trajectory's normals; general noise multiplies each row by
+    ``L`` (from ``_general_factor``).  ``V`` and ``W`` are column views of
+    that array.
     """
     n, m = sys.n, sys.m
     len_v = n * T
     len_w = m * (T + 1)
     noise = sys.noise
-    if noise.kind == "general":
-        joint = noise.Sigma_T
-        if joint.shape[0] != len_v + len_w:
-            raise ValidationError(
-                f"noise.SigmaT: expected side {len_v + len_w} = n*T + m*(T+1) at T={T}, "
-                f"got {joint.shape[0]}"
-            )
-        L = _noise_factor(joint)
     key = np.random.SeedSequence(entropy=seed).generate_state(2, np.uint64)
     bitgen = np.random.Philox(key=key)
     g = np.random.Generator(bitgen)
@@ -135,10 +175,10 @@ def _draw_noise(sys: LinearSystem, N: int, T: int, seed: int) -> tuple[np.ndarra
     counter = state["state"]["counter"]
     Z = np.empty((N, len_v + len_w))
     for i in range(N):
-        counter[3] = i
+        counter[3] = start + i
         bitgen.state = state
         g.standard_normal(out=Z[i])
-        if noise.kind == "general":
+        if L is not None:
             Z[i] = L @ Z[i]
     if noise.kind == "iid":
         Z[:, :len_v] *= noise.sigma_nu
@@ -149,7 +189,18 @@ def _draw_noise(sys: LinearSystem, N: int, T: int, seed: int) -> tuple[np.ndarra
 def simulate(
     sys: LinearSystem, x0, N: int, T: int | None = None, seed: int = 0
 ) -> TrajectoryBatch:
-    """Simulate N output trajectories of length T+1 from initial value x0."""
+    """Simulate N output trajectories of length T+1 from initial value x0.
+
+    Trajectories run in chunks sized by ``CHUNK_BYTES``, and each chunk
+    draws its own rows of the streams.  Chunks hold a multiple of 8 rows and
+    the last one also takes the remainder, because BLAS rounds a one-row
+    product, and the trailing rows of a matrix-vector product, differently
+    from the same rows inside a larger product.  A BLAS with a separate
+    small-matrix kernel (OpenBLAS on AVX-512) can still change a chunk's
+    ``Y`` in the last bit when n >= 32 and m > 1.  The state guard
+    reports the earliest step at which any trajectory's state exceeds
+    ``STATE_OVERFLOW_LIMIT``.
+    """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != sys.n:
         raise ValidationError(f"x0: expected length {sys.n}, got {x0.shape[0]}")
@@ -160,23 +211,31 @@ def simulate(
     seed = integer(seed, "seed", 0)
 
     n, m = sys.n, sys.m
-    V, W = _draw_noise(sys, N, T, seed)
-    Y = np.zeros((N, m * (T + 1)))
-    x = np.broadcast_to(x0, (N, n)).copy()
-    for t in range(T + 1):
-        Y[:, t * m:(t + 1) * m] = x @ sys.C.T + W[:, t * m:(t + 1) * m]
-        if t < T:
+    L = _general_factor(sys, T)
+    rows = max(8, CHUNK_BYTES // (8 * (n * T + m * (T + 1))) // 8 * 8)
+    stops = list(range(rows, N - rows + 1, rows)) + [N]
+    Y = np.empty((N, m * (T + 1)))
+    first_bad = None  # earliest step at which some state left the guard
+    for start, stop in zip([0] + stops[:-1], stops):
+        V, W = _draw_noise(sys, stop - start, T, seed, start, L)
+        x = np.broadcast_to(x0, (stop - start, n)).copy()
+        for t in range(T + 1):
+            Y[start:stop, t * m:(t + 1) * m] = x @ sys.C.T + W[:, t * m:(t + 1) * m]
+            if t == T or (first_bad is not None and t + 1 >= first_bad):
+                break
             x = x @ sys.A.T + V[:, t * n:(t + 1) * n]
             peak = float(np.abs(x).max(initial=0.0))
             if not np.isfinite(peak) or peak > STATE_OVERFLOW_LIMIT:
-                raise ConditioningError(
-                    f"state magnitude exceeded {STATE_OVERFLOW_LIMIT:g} at step {t + 1}"
-                )
-    for arr in (Y, V, W):
-        arr.flags.writeable = False
+                first_bad = t + 1
+                break
+    if first_bad is not None:
+        raise ConditioningError(
+            f"state magnitude exceeded {STATE_OVERFLOW_LIMIT:g} at step {first_bad}"
+        )
+    Y.flags.writeable = False
     frozen_x0 = x0.copy()
     frozen_x0.flags.writeable = False
-    return TrajectoryBatch(x0=frozen_x0, N=N, T=T, Y=Y, seed=seed, V=V, W=W)
+    return TrajectoryBatch(x0=frozen_x0, N=N, T=T, Y=Y, seed=seed, system=sys)
 
 
 def mle_attack(sys: LinearSystem, batch: TrajectoryBatch) -> AttackResult:

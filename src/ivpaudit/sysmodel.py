@@ -112,12 +112,12 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.kind not in ("iid", "general"):
             raise ValidationError(f"noise.kind: expected 'iid' or 'general', got {self.kind!r}")
+        for name in ("sigma_nu", "sigma_omega"):
+            val = real(getattr(self, name), f"noise.{name}")
+            if val < 0:
+                raise ValidationError(f"noise.{name}: must be >= 0, got {val!r}")
+            object.__setattr__(self, name, val)
         if self.kind == "iid":
-            for name in ("sigma_nu", "sigma_omega"):
-                val = real(getattr(self, name), f"noise.{name}")
-                if val < 0:
-                    raise ValidationError(f"noise.{name}: must be >= 0, got {val!r}")
-                object.__setattr__(self, name, val)
             if self.Sigma_T is not None:
                 raise ValidationError("noise.SigmaT: only allowed when kind == 'general'")
         else:
@@ -276,7 +276,10 @@ class Configuration:
     theta: np.ndarray
 
     def __post_init__(self) -> None:
-        theta = np.asarray(self.theta, dtype=float)
+        try:
+            theta = np.asarray(self.theta, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"theta: not a numeric vector ({exc})") from None
         if theta.ndim != 1:
             raise ValidationError(f"theta: expected a 1-D vector, got shape {theta.shape}")
         if not np.all(np.isfinite(theta)):
@@ -294,9 +297,15 @@ class DisclosureSet:
     nodes: tuple = ()
 
     def __post_init__(self) -> None:
+        try:
+            given = tuple(self.nodes)
+        except TypeError:
+            raise ValidationError(
+                f"disclosure: expected a collection of node indices, got {self.nodes!r}"
+            ) from None
         nodes = []
         seen = set()
-        for k, i in enumerate(self.nodes):
+        for k, i in enumerate(given):
             i = integer(i, f"disclosure[{k}]")
             if i in seen:
                 raise ValidationError(f"disclosure[{k}]: duplicate node {i}")
@@ -310,7 +319,7 @@ class DisclosureSet:
             return cls()
         if isinstance(value, DisclosureSet):
             return value
-        return cls(tuple(value))
+        return cls(value)
 
     def validate_range(self, n: int) -> None:
         for i in self.nodes:
@@ -342,7 +351,7 @@ def instantiate(
     configuration) are allowed here and surface as rank failures downstream.
     """
     if not isinstance(config, Configuration):
-        config = Configuration(np.asarray(config, dtype=float))
+        config = Configuration(config)
     if len(config) != structure.n_weights:
         raise ValidationError(
             f"theta: expected {structure.n_weights} weights "

@@ -4,6 +4,7 @@ import csv
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from ivpaudit import (
     report_to_csv,
     simulate,
 )
+from ivpaudit import sim
 from ivpaudit.sim import _noise_factor
 
 
@@ -163,6 +165,111 @@ class TestNoiseStream:
         np.testing.assert_array_equal(small.Y, large.Y[:5])
         np.testing.assert_array_equal(small.V, large.V[:5])
         np.testing.assert_array_equal(small.W, large.W[:5])
+
+
+def iid_noise_system() -> LinearSystem:
+    n, m = 3, 2
+    return LinearSystem(
+        n=n, m=m, A=np.eye(n) * 0.5, C=np.ones((m, n)), noise=NoiseModel.iid(0.7, 1.3)
+    )
+
+
+def chunk_rows(monkeypatch, system: LinearSystem, T: int, rows: int) -> None:
+    """Set the chunk budget to ``rows`` trajectories' worth of draws."""
+    monkeypatch.setattr(sim, "CHUNK_BYTES", 8 * rows * (system.n * T + system.m * (T + 1)))
+
+
+def count_draws(monkeypatch) -> list:
+    """Record (start, rows) of every ``_draw_noise`` call."""
+    calls = []
+    draw = sim._draw_noise
+
+    def counted(system, N, T, seed, start, L):
+        calls.append((start, N))
+        return draw(system, N, T, seed, start, L)
+
+    monkeypatch.setattr(sim, "_draw_noise", counted)
+    return calls
+
+
+class TestChunks:
+    """``simulate`` draws noise chunk by chunk and stores only ``Y``."""
+
+    @pytest.mark.parametrize("general", [False, True], ids=["iid", "general"])
+    def test_chunks_match_one_chunk_and_reference_streams(self, monkeypatch, general):
+        T, N, seed = 2, 37, 2**40 + 3
+        system = general_noise_system(T) if general else iid_noise_system()
+        x0 = np.array([2.0, 1.0, -1.0])
+        whole = simulate(system, x0, N=N, T=T, seed=seed)
+        chunk_rows(monkeypatch, system, T, 8)
+        calls = count_draws(monkeypatch)
+        chunked = simulate(system, x0, N=N, T=T, seed=seed)
+        # Chunks of 8 rows; the last one takes the remainder.
+        assert calls == [(0, 8), (8, 8), (16, 8), (24, 13)]
+        np.testing.assert_array_equal(chunked.Y, whole.Y)
+
+        len_v = system.n * T
+        Z = reference_normals(seed, N, len_v + system.m * (T + 1))
+        if general:
+            L = _noise_factor(system.noise.Sigma_T)
+            want_v, want_w = np.hsplit(np.array([L @ z for z in Z]), [len_v])
+        else:
+            want_v, want_w = 0.7 * Z[:, :len_v], 1.3 * Z[:, len_v:]
+        for batch in (whole, chunked):
+            np.testing.assert_array_equal(batch.V, want_v)
+            np.testing.assert_array_equal(batch.W, want_w)
+        bundle = build_bundle(system, T=T)
+        np.testing.assert_allclose(
+            chunked.Y, x0 @ bundle.O_T.T + chunked.V @ bundle.H_T.T + chunked.W, atol=1e-10
+        )
+
+    def test_noise_regenerated_once_and_frozen(self, monkeypatch):
+        system = iid_noise_system()
+        batch = simulate(system, np.ones(3), N=5, T=1, seed=4)
+        calls = count_draws(monkeypatch)
+        V, W = batch.V, batch.W
+        assert batch.V is V and batch.W is W and calls == [(0, 5)]
+        for arr in (V, W):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+
+    def test_simulate_and_attack_draw_each_trajectory_once(self, monkeypatch, sys_line2_first):
+        chunk_rows(monkeypatch, sys_line2_first, 1, 16)
+        calls = count_draws(monkeypatch)
+        batch = simulate(sys_line2_first, [2.0, 1.0], N=100, T=1, seed=6)
+        mle_attack(sys_line2_first, batch)
+        drawn = [i for start, rows in calls for i in range(start, start + rows)]
+        assert drawn == list(range(100))
+
+    def test_general_noise_factored_once_per_call(self, monkeypatch):
+        T = 2
+        system = general_noise_system(T)
+        chunk_rows(monkeypatch, system, T, 8)
+        calls = count_draws(monkeypatch)
+        factored = []
+        monkeypatch.setattr(sim, "_noise_factor", lambda s: factored.append(s) or _noise_factor(s))
+        simulate(system, np.ones(3), N=40, T=T, seed=1)
+        assert len(calls) == 5 and len(factored) == 1
+
+    def test_state_guard_reports_earliest_step_across_chunks(self, monkeypatch):
+        # At seed 3 the first chunk's states pass the guard at step 152 and
+        # a later chunk's at step 151.
+        system = LinearSystem(n=1, m=1, A=[[10.0]], C=[[1.0]], noise=NoiseModel.iid(1.0, 0.0))
+        chunk_rows(monkeypatch, system, 400, 8)
+        with pytest.raises(ConditioningError, match="at step 151$"):
+            simulate(system, [0.0], N=24, T=400, seed=3)
+        with pytest.raises(ConditioningError, match="at step 152$"):
+            simulate(system, [0.0], N=8, T=400, seed=3)
+
+    def test_peak_memory_is_outputs_plus_a_few_chunks(self, monkeypatch, sys_line2_first):
+        monkeypatch.setattr(sim, "CHUNK_BYTES", 2**16)
+        tracemalloc.start()
+        try:
+            batch = simulate(sys_line2_first, [2.0, 1.0], N=200_000, T=1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < batch.Y.nbytes + 8 * sim.CHUNK_BYTES
 
 
 def test_import_does_not_load_scipy_stats():

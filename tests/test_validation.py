@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ivpaudit import (
+    Configuration,
     DisclosureSet,
     DpBudget,
     LinearSystem,
@@ -15,6 +16,7 @@ from ivpaudit import (
     delta_min,
     empirical_dp_report,
     estimate_generic_rank,
+    instantiate,
     node_private,
     numerical_rank,
     privacy_index_bruteforce,
@@ -46,6 +48,14 @@ BAD_SCALARS = [
     ),
     pytest.param("n", lambda s, g: LinearSystem(n=True, m=1, A=[[0.0]], C=[[1.0]]), id="n-bool"),
     pytest.param("disclosure[0]", lambda s, g: DisclosureSet((True,)), id="disclosure-bool"),
+    pytest.param("disclosure", lambda s, g: node_private(s, 0, 1), id="disclosure-int"),
+    pytest.param("theta", lambda s, g: Configuration("a"), id="theta-str"),
+    pytest.param("theta", lambda s, g: instantiate(g, "a"), id="instantiate-theta-str"),
+    pytest.param(
+        "noise.sigma_nu",
+        lambda s, g: NoiseModel(kind="general", Sigma_T=[[1.0]], sigma_nu="abc"),
+        id="general-sigma-str",
+    ),
 ]
 
 
