@@ -13,7 +13,7 @@ from .errors import ValidationError
 
 def integer(value, name: str, minimum: int | None = None) -> int:
     """``value`` as an int: a Python or numpy integer (not bool), >= ``minimum``."""
-    if type(value) is not int:  # plain ints skip the type tests: node loops call this
+    if type(value) is not int:  # plain ints skip the type tests: disclosure sets check every node
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValidationError(f"{name}: expected an integer, got {value!r}")
         value = int(value)
@@ -24,7 +24,7 @@ def integer(value, name: str, minimum: int | None = None) -> int:
 
 def real(value, name: str) -> float:
     """``value`` as a finite float: an int, float or numpy real (not bool)."""
-    if type(value) is not float:  # as in ``integer``: rank kernels call this per node test
+    if type(value) is not float:  # as in ``integer``: plain floats, the common case, skip them
         if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
             raise ValidationError(f"{name}: expected a number, got {value!r}")
         try:

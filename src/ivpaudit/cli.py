@@ -19,7 +19,7 @@ import numpy as np
 from . import dp, generic, intrinsic, sim
 from .errors import ConditioningError, ValidationError
 from .obsv import build_bundle, null_basis
-from .sysmodel import LinearSystem, NoiseModel, load_structure, load_system
+from .sysmodel import NoiseModel, load_structure, load_system, require_lti
 
 
 def _parse_nodes(text: str) -> tuple:
@@ -54,14 +54,8 @@ def _parse_vectors(text: str) -> list:
     return vecs
 
 
-def _require_lti(system) -> LinearSystem:
-    if not isinstance(system, LinearSystem):
-        raise ValidationError("system: this command requires a time-invariant system")
-    return system
-
-
 def cmd_audit(args) -> dict:
-    system = _require_lti(load_system(args.system))
+    system = require_lti(load_system(args.system))
     bundle = build_bundle(system, args.T)
     kern = null_basis(bundle.O_ob, args.rank_tol)
     whole = intrinsic._whole_vector(kern)
@@ -90,7 +84,7 @@ def cmd_audit(args) -> dict:
 def cmd_calibrate(args) -> dict:
     """The floor of ``dp.calibrate_sigma_omega`` and a ``dp.delta_min`` table
     for the calibrated system, from one bundle, one ||O_T|| and one Sigma."""
-    system = _require_lti(load_system(args.system))
+    system = require_lti(load_system(args.system))
     budget = dp.DpBudget(epsilon=args.epsilon, delta=args.delta, d=args.d, N=args.N, T=args.T)
     dp._require_iid(system, "calibrate_sigma_omega")
     k = dp.kappa(budget.epsilon, budget.delta)
@@ -121,7 +115,7 @@ def cmd_calibrate(args) -> dict:
 
 
 def cmd_check_dp(args) -> dict:
-    system = _require_lti(load_system(args.system))
+    system = require_lti(load_system(args.system))
     budget = dp.DpBudget(epsilon=args.epsilon, delta=args.delta, d=args.d, N=args.N, T=args.T)
     verdict = dp.check_dp(system, budget, refined=args.refined)
     return verdict.to_dict()
@@ -154,7 +148,7 @@ def cmd_generic_index(args) -> dict:
 
 
 def cmd_attack(args) -> dict:
-    system = _require_lti(load_system(args.system))
+    system = require_lti(load_system(args.system))
     x0 = _parse_vector(args.x0)
     batch = sim.simulate(system, x0, args.N, args.T, seed=args.seed)
     result = sim.mle_attack(system, batch)
@@ -186,7 +180,7 @@ def cmd_attack(args) -> dict:
 
 
 def cmd_simulate(args) -> dict:
-    system = _require_lti(load_system(args.system))
+    system = require_lti(load_system(args.system))
     x0 = _parse_vector(args.x0)
     batch = sim.simulate(system, x0, args.N, args.T, seed=args.seed)
     out = {

@@ -14,7 +14,9 @@ All three depend only on the null space of O_ob.  One SVD of O_ob
 (``obsv.null_basis``) gives an orthonormal null basis N with k columns:
 node i is private iff row N_i lies outside the row span of N_P, the ranks
 above follow from rank(N_P) and rank(N_{P+i}), the whole vector is private
-iff k > 0, and the privacy index is k - 1.
+iff k > 0, and the privacy index is k - 1.  The exhaustive cross-check
+``privacy_index_bruteforce`` ranks blocks of disclosure sets in stacked SVDs
+of the rows of N rather than testing one node at a time.
 
 Whenever the node is private, an explicit non-identifiability direction eta
 (zero on P, nonzero at i, annihilated by the observability map) is attached
@@ -48,6 +50,13 @@ ETA_RESIDUAL_RTOL = 1e-8
 
 #: Hard cap for exhaustive disclosure-set enumeration.
 BRUTEFORCE_MAX_NODES = 22
+
+#: Disclosure sets ranked in the first stacked SVD of a level, and the cap
+#: the block doubles up to.  A small first block lets a level that fails at
+#: its first set stop about as early as a set-by-set scan; the cap bounds a
+#: block's arrays to a few MB at n = BRUTEFORCE_MAX_NODES.
+FIRST_BLOCK = 8
+MAX_BLOCK = 2048
 
 _CONDITIONS = ("b", "c", "c_prime", "all")
 
@@ -213,18 +222,33 @@ def privacy_index(sys: LinearSystem, rank_tol: float | None = None) -> IndexRepo
     return _index_report(null_basis(build_bundle(sys).O_ob, rank_tol))
 
 
-def _level_holds(O_ob: np.ndarray, kern: NullBasis, n: int, level: int) -> bool:
-    """True when every disclosure set of the given size leaves a private node."""
+def _level_holds(kern: NullBasis, n: int, level: int) -> bool:
+    """True when every disclosure set of the given size leaves a private node.
 
-    def set_ok(P_nodes: tuple) -> bool:
-        P = DisclosureSet(P_nodes)
-        hidden = (j for j in range(n) if j not in P_nodes)
-        return any(
-            _evaluate_node(O_ob, kern, j, P, "c_prime", want_eta=False).private
-            for j in hidden
-        )
-
-    return all(set_ok(P_nodes) for P_nodes in itertools.combinations(range(n), level))
+    Node j is private under P iff rank(N_{P+j}) = rank(N_P) + 1.  The sets
+    come in blocks that start at ``FIRST_BLOCK`` and double up to
+    ``MAX_BLOCK``, so a level whose first set fails stops early.
+    """
+    sets = itertools.combinations(range(n), level)
+    block_size = FIRST_BLOCK
+    while block := list(itertools.islice(sets, block_size)):
+        P = np.array(block, dtype=np.intp).reshape(len(block), level)
+        hidden = np.ones((len(P), n), dtype=bool)
+        hidden[np.arange(len(P))[:, None], P] = False
+        hidden = np.nonzero(hidden)[1].reshape(len(P), n - level)
+        base = kern.row_ranks(P)
+        undecided = np.arange(len(P))
+        # Round r tests each undecided set's r-th hidden node, P's rows first.
+        for r in range(n - level):
+            rows = np.column_stack([P[undecided], hidden[undecided, r]])
+            private = kern.row_ranks(rows) == base[undecided] + 1
+            undecided = undecided[~private]
+            if not len(undecided):
+                break
+        else:
+            return False
+        block_size = min(2 * block_size, MAX_BLOCK)
+    return True
 
 
 def privacy_index_bruteforce(
@@ -233,7 +257,9 @@ def privacy_index_bruteforce(
     """Exhaustive index: scan disclosure sizes upward, enumerating every set.
 
     Works only for small networks (n <= 22).  Losing privacy is monotone in
-    the disclosure set, so the first failing size terminates the scan.
+    the disclosure set, so the first failing size terminates the scan.  Each
+    size's sets are ranked in blocks through stacked SVDs of rows of the null
+    basis (``NullBasis.row_ranks``), with the verdicts of the node test.
     """
     n = sys.n
     if n > BRUTEFORCE_MAX_NODES:
@@ -241,11 +267,10 @@ def privacy_index_bruteforce(
             f"n: brute-force enumeration capped at n <= {BRUTEFORCE_MAX_NODES}, got {n}"
         )
     l_max = n - 1 if l_max is None else min(integer(l_max, "l_max", 0), n - 1)
-    O_ob = build_bundle(sys).O_ob
-    kern = null_basis(O_ob, rank_tol)
+    kern = null_basis(build_bundle(sys).O_ob, rank_tol)
     achieved = -1
     for level in range(l_max + 1):
-        if not _level_holds(O_ob, kern, n, level):
+        if not _level_holds(kern, n, level):
             break
         achieved = level
     return IndexReport(index=achieved, rank_Oob=kern.rank, method="brute_force")

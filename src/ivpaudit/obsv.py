@@ -29,7 +29,7 @@ import numpy as np
 
 from ._util import integer, real
 from .errors import ConditioningError, ValidationError
-from .sysmodel import DisclosureSet, LinearSystem, TimeVaryingSystem
+from .sysmodel import DisclosureSet, LinearSystem, TimeVaryingSystem, require_lti
 
 __all__ = [
     "ObservabilityBundle",
@@ -103,6 +103,7 @@ class ObservabilityBundle:
 
 def build_bundle(sys: LinearSystem, T: int | None = None) -> ObservabilityBundle:
     """Observability bundle at horizon ``T`` (default n-1, the minimum allowed)."""
+    require_lti(sys)
     n = sys.n
     T = n - 1 if T is None else integer(T, "T")
     if T < n - 1:
@@ -184,11 +185,26 @@ class NullBasis(NamedTuple):
     row_tol: float
     norm: float
 
+    def row_ranks(self, rows: np.ndarray) -> np.ndarray:
+        """rank(N[rows[s]]) for every row s of the sets x size index array ``rows``.
+
+        One stacked SVD with the ``full_matrices`` flag of ``null_basis``, so
+        each rank counts the singular values that ``null_basis(N[rows[s]],
+        row_tol)`` counts; ``compute_uv=False`` takes another LAPACK path whose
+        values can differ in the last bits.
+        """
+        sets, size = rows.shape
+        k = self.N.shape[1]
+        if size == 0 or k == 0:
+            return np.zeros(sets, dtype=int)
+        s = np.linalg.svd(self.N[rows], full_matrices=size < k)[1]
+        return (s > self.row_tol).sum(axis=1)
+
     def hidden_rank(self, rows) -> int:
         """Rank of the columns of M outside ``rows``: n - |rows| minus the
         k - rank(N_rows) null directions that vanish on ``rows``."""
         n, k = self.N.shape
-        return n - len(rows) - k + null_basis(self.N[list(rows)], self.row_tol).rank
+        return n - len(rows) - k + int(self.row_ranks(np.array([rows], dtype=np.intp))[0])
 
     def vanishing_on(self, rows) -> np.ndarray:
         """Orthonormal basis of the null vectors of M that are zero at ``rows``."""

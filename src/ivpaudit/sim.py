@@ -30,7 +30,7 @@ from ._util import derive_seed, integer, real
 from .errors import ConditioningError, ValidationError
 from .dp import _noise_covariance, _radius
 from .obsv import _output_power_blocks, null_basis, rank_tolerance
-from .sysmodel import LinearSystem
+from .sysmodel import LinearSystem, require_lti
 
 __all__ = [
     "TrajectoryBatch",
@@ -201,6 +201,7 @@ def simulate(
     reports the earliest step at which any trajectory's state exceeds
     ``STATE_OVERFLOW_LIMIT``.
     """
+    require_lti(sys)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != sys.n:
         raise ValidationError(f"x0: expected length {sys.n}, got {x0.shape[0]}")
@@ -245,6 +246,7 @@ def mle_attack(sys: LinearSystem, batch: TrajectoryBatch) -> AttackResult:
     exact linear constraints, so purely deterministic releases (including the
     zero-noise case) are inverted rather than rejected.
     """
+    require_lti(sys)
     O_T = np.vstack(_output_power_blocks(sys.A, sys.C, batch.T + 1))
     sigma = _noise_covariance(sys, O_T, batch.T)
     ybar = batch.Y.mean(axis=0)
@@ -362,6 +364,7 @@ def empirical_dp_report(
     across initial values per coordinate (pooled data).  When ``d`` (> 0) is
     given, all pairs are checked to be within the adjacency radius.
     """
+    require_lti(sys)
     x0s = [np.asarray(x, dtype=float).reshape(-1) for x in x0_list]
     if len(x0s) < 2:
         raise ValidationError("x0_list: need at least two initial values to compare")

@@ -203,6 +203,14 @@ class TimeVaryingSystem:
         return len(self.A_seq)
 
 
+def require_lti(sys) -> LinearSystem:
+    """``sys`` itself when it is time-invariant; the rank, privacy-budget and
+    simulation layers read ``A`` and ``C`` and take no time-varying system."""
+    if not isinstance(sys, LinearSystem):
+        raise ValidationError("system: this command requires a time-invariant system")
+    return sys
+
+
 def _check_edges(edges, n_src: int, n_dst: int, path: str, src_name: str, dst_name: str):
     seen = set()
     out = []

@@ -1,11 +1,14 @@
 """Exact rank-based privacy verdicts and the privacy index."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ivpaudit import (
+    DisclosureSet,
     LinearSystem,
     NetworkStructure,
     ValidationError,
@@ -16,6 +19,8 @@ from ivpaudit import (
     sample_configuration,
     whole_vector_private,
 )
+from ivpaudit import intrinsic
+from ivpaudit.obsv import NullBasis, build_bundle, null_basis
 from conftest import (
     TREE4_SPECIAL_THETA,
     random_system,
@@ -65,6 +70,31 @@ def chain_with_isolated(n_chain: int, n_isolated: int) -> LinearSystem:
     C = np.zeros((1, n))
     C[0, n_chain - 1] = 1.0
     return LinearSystem(n=n, m=1, A=A, C=C)
+
+
+def reference_level_holds(O_ob, kern, n: int, level: int) -> bool:
+    """Set-by-set scan: every disclosure set of size ``level`` leaves a node
+    that the single-node test calls private."""
+    return all(
+        any(
+            intrinsic._evaluate_node(O_ob, kern, j, DisclosureSet(P), "c_prime", False).private
+            for j in range(n)
+            if j not in P
+        )
+        for P in itertools.combinations(range(n), level)
+    )
+
+
+def assert_levels_match_reference(system: LinearSystem) -> None:
+    """The blocked enumeration decides every level as the set-by-set scan does."""
+    O_ob = build_bundle(system).O_ob
+    kern = null_basis(O_ob)
+    n = system.n
+    expected = [reference_level_holds(O_ob, kern, n, level) for level in range(n)]
+    assert [intrinsic._level_holds(kern, n, level) for level in range(n)] == expected
+    for l_max in range(n):
+        index = next((level - 1 for level in range(l_max + 1) if not expected[level]), l_max)
+        assert privacy_index_bruteforce(system, l_max=l_max).index == index
 
 
 class TestNodePrivate:
@@ -243,6 +273,54 @@ class TestPrivacyIndex:
 
     def test_formula_matches_bruteforce_sweep(self):
         assert sweep_index_agreement(30, seed=2024) == 30
+
+
+class TestBlockedEnumeration:
+    @pytest.mark.parametrize(
+        "system",
+        [
+            pytest.param(LinearSystem(n=3, m=3, A=np.zeros((3, 3)), C=np.eye(3)), id="k0"),
+            pytest.param(LinearSystem(n=1, m=1, A=[[0.5]], C=[[1.0]]), id="n1-observable"),
+            pytest.param(
+                LinearSystem(n=1, m=1, A=[[0.5]], C=[[0.0]], require_output=False), id="n1-unmeasured"
+            ),
+            pytest.param(
+                LinearSystem(n=4, m=1, A=np.eye(4), C=np.zeros((1, 4)), require_output=False),
+                id="unmeasured",
+            ),
+            # The one failing 3-set, the isolated nodes {6, 7, 8}, is the last.
+            pytest.param(chain_with_isolated(6, 3), id="failing-set-last"),
+        ],
+    )
+    def test_edge_cases_match_reference(self, system):
+        assert_levels_match_reference(system)
+
+    @pytest.mark.parametrize("max_block", [intrinsic.MAX_BLOCK, 16])
+    def test_random_systems_match_reference(self, max_block, monkeypatch):
+        monkeypatch.setattr(intrinsic, "MAX_BLOCK", max_block)
+        rng = np.random.default_rng(5)
+        for _ in range(150):
+            assert_levels_match_reference(random_system(rng))
+
+    def test_failing_first_set_stops_after_the_first_block(self, monkeypatch):
+        # Reversing chain_with_isolated(13, 3) puts the isolated nodes at 0,
+        # 1 and 2, so the first 3-set (0, 1, 2) already leaves no node private.
+        # One block holding the whole level would rank all C(16, 3) sets.
+        base = chain_with_isolated(13, 3)
+        system = LinearSystem(n=16, m=1, A=base.A[::-1, ::-1], C=base.C[:, ::-1])
+        n, level = system.n, 3
+        kern = null_basis(build_bundle(system).O_ob)
+        ranked = []
+        row_ranks = NullBasis.row_ranks
+
+        def counting(self, rows):
+            ranked.append(len(rows))
+            return row_ranks(self, rows)
+
+        monkeypatch.setattr(NullBasis, "row_ranks", counting)
+        assert not intrinsic._level_holds(kern, n, level)
+        bound = intrinsic.FIRST_BLOCK * (n - level) + intrinsic.FIRST_BLOCK
+        assert sum(ranked) <= bound < math.comb(n, level)
 
 
 class TestRankTolerance:

@@ -1,5 +1,7 @@
 """Observability stacking, numerical rank, selectors."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +23,7 @@ from ivpaudit import (
     sample_configuration,
     select_columns,
 )
-from ivpaudit.obsv import null_basis
+from ivpaudit.obsv import NullBasis, null_basis
 from conftest import sweep_hidden_rank_identity
 
 
@@ -247,6 +249,26 @@ class TestNullBasis:
         kern = null_basis(M, tol=1e-10)
         assert kern.rank == 1
         np.testing.assert_allclose(np.abs(kern.N[:, 0]), [0.0, 1.0], atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_row_ranks_match_separate_null_bases(self, seed):
+        # Zero and repeated rows of X stay zero and repeated in its Q factor,
+        # so row subsets of the basis span anywhere from 0 to k dimensions.
+        rng = np.random.default_rng(seed)
+        n = 6
+        for k in range(n + 1):
+            X = rng.standard_normal((n, k))
+            X[rng.random(n) < 0.3] = 0.0
+            X[1] = X[0]
+            N = np.linalg.qr(X)[0]
+            kern = NullBasis(rank=n - k, N=N, tol=1e-12, row_tol=1e-10, norm=1.0)
+            for size in range(n + 1):
+                sets = list(itertools.combinations(range(n), size))
+                ranks = kern.row_ranks(np.array(sets, dtype=np.intp).reshape(len(sets), size))
+                assert ranks.shape == (len(sets),)
+                for P, rank in zip(sets, ranks):
+                    assert rank == null_basis(N[list(P)], kern.row_tol).rank
+                    assert kern.hidden_rank(P) == n - size - k + rank
 
     def test_not_exported(self):
         import ivpaudit

@@ -1,4 +1,5 @@
-"""Scalar arguments: one integer rule and one number rule at the library boundary."""
+"""Arguments at the library boundary: one integer rule and one number rule for
+scalars, and one time-invariance rule for systems."""
 
 import re
 
@@ -17,13 +18,23 @@ from ivpaudit import (
     empirical_dp_report,
     estimate_generic_rank,
     instantiate,
+    TimeVaryingSystem,
+    calibrate_sigma_omega,
+    check_dp,
+    mle_attack,
     node_private,
     numerical_rank,
+    privacy_index,
     privacy_index_bruteforce,
     simulate,
+    whole_vector_private,
 )
 
 ADJACENT = [[2.0, 1.0], [2.1, 1.0]]
+BUDGET = DpBudget(epsilon=1.0, delta=0.05, d=1.0, N=1)
+TIME_VARYING = TimeVaryingSystem(
+    n=2, m=1, A_seq=([[0.0, 1.0], [0.0, -1.0]],), C_seq=([[1.0, 0.0]], [[1.0, 0.0]])
+)
 
 # (field named by the error, call on the sys_line2_first and struct_line3 fixtures)
 BAD_SCALARS = [
@@ -55,6 +66,20 @@ BAD_SCALARS = [
         "noise.sigma_nu",
         lambda s, g: NoiseModel(kind="general", Sigma_T=[[1.0]], sigma_nu="abc"),
         id="general-sigma-str",
+    ),
+    # Rank, budget and simulation layers read A and C: a time-varying system is refused.
+    pytest.param("system", lambda s, g: privacy_index_bruteforce(TIME_VARYING), id="tv-bruteforce"),
+    pytest.param("system", lambda s, g: privacy_index(TIME_VARYING), id="tv-index"),
+    pytest.param("system", lambda s, g: whole_vector_private(TIME_VARYING), id="tv-whole-vector"),
+    pytest.param("system", lambda s, g: node_private(TIME_VARYING, 0), id="tv-node"),
+    pytest.param("system", lambda s, g: check_dp(TIME_VARYING, BUDGET), id="tv-check-dp"),
+    pytest.param("system", lambda s, g: calibrate_sigma_omega(TIME_VARYING, BUDGET), id="tv-calibrate"),
+    pytest.param("system", lambda s, g: simulate(TIME_VARYING, [1.0, 0.0], N=1), id="tv-simulate"),
+    pytest.param(
+        "system", lambda s, g: mle_attack(TIME_VARYING, simulate(s, [1.0, 0.0], N=1)), id="tv-attack"
+    ),
+    pytest.param(
+        "system", lambda s, g: empirical_dp_report(TIME_VARYING, ADJACENT, N_runs=10), id="tv-probe"
     ),
 ]
 
