@@ -171,8 +171,17 @@ def _draw_noise(
     key = np.random.SeedSequence(entropy=seed).generate_state(2, np.uint64)
     bitgen = np.random.Philox(key=key)
     g = np.random.Generator(bitgen)
-    state = bitgen.state  # as constructed: empty buffer, no cached 32-bit word
-    counter = state["state"]["counter"]
+    # The state as constructed (empty buffer, no cached 32-bit word), held in
+    # plain ints: the state setter reads Python ints faster than uint64 arrays.
+    counter = [0, 0, 0, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": key.tolist()},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     Z = np.empty((N, len_v + len_w))
     for i in range(N):
         counter[3] = start + i

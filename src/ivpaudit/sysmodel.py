@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Iterable, Sequence, Union
 
 import numpy as np
+import orjson
 
 from ._util import integer, real
 from .errors import ValidationError
@@ -450,11 +451,19 @@ def _parse_structure(raw: dict, n: int, m: int, path: str = "structure") -> Netw
 
 
 def _load_json(path) -> dict:
+    """The file's top-level object, decoded as strict RFC 8259 JSON by orjson.
+
+    ``NaN``/``Infinity`` literals, numbers that overflow a double and bytes
+    that are not UTF-8 are invalid JSON; ``orjson.JSONDecodeError``
+    subclasses ``json.JSONDecodeError``.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = orjson.loads(fh.read())
     except FileNotFoundError:
         raise ValidationError(f"{path}: file not found") from None
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read ({exc.strerror or exc})") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):

@@ -493,3 +493,29 @@ def test_negative_seed_exits_2(capsys, file_line2_sum, file_struct_line3, argv):
     assert code == 2
     assert err.startswith("error: seed")
     assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        pytest.param(None, "cannot read", id="directory"),
+        pytest.param(b'{"n": 1, "m": 1, "A": [[0.5]], "C": [[1.0]], "tag": "\xff"}', "invalid JSON",
+                     id="not-utf8"),
+        pytest.param(b'{"n": 1, "m": 1, "A": [[NaN]], "C": [[1.0]]}', "invalid JSON", id="nan"),
+        pytest.param(b'{"n": 1, "m": 1, "A": [[Infinity]], "C": [[1.0]]}', "invalid JSON",
+                     id="infinity"),
+        pytest.param(b'{"n": 1, "m": 1, "A": [[0.5]], "C": [[-Infinity]]}', "invalid JSON",
+                     id="minus-infinity"),
+        pytest.param(b'{"n": 1, "m": 1, "A": [[1e400]], "C": [[1.0]]}', "invalid JSON",
+                     id="overflow"),
+    ],
+)
+def test_unreadable_or_non_strict_file_exits_2(capsys, tmp_path, content, reason):
+    path = tmp_path / "sys.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code, out, err = run_cli(capsys, ["audit", "--system", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: {reason}")

@@ -92,19 +92,35 @@ class TestLoadSystem:
 
     def test_round_trip_awkward_floats(self, tmp_path):
         rng = np.random.default_rng(11)
-        sys_rand = LinearSystem(
-            n=3, m=2,
-            A=rng.standard_normal((3, 3)) * 1e-7,
-            C=rng.standard_normal((2, 3)) * 1e9,
-            noise=NoiseModel.iid(0.1234567890123456789, 3.3e-17),
-        )
+        dbl_max = np.finfo(float).max
+        cases = [
+            (rng.standard_normal((3, 3)) * 1e-7, rng.standard_normal((2, 3)) * 1e9,
+             0.1234567890123456789, 3.3e-17),
+            # subnormals, signed zeros and the largest finite doubles
+            ([[5e-324, -0.0, 2.2250738585072009e-308], [-4.9e-322, 0.0, 1e-310],
+              [2.2250738585072014e-308, -1.5e-323, -0.0]],
+             [[dbl_max, -dbl_max, -0.0], [0.30000000000000004, 0.1, 1.0000000000000002]],
+             5e-324, dbl_max),
+            # values that need all 17 significant digits
+            ([[0.12345678901234568, 9.8765432109876543e-5, -3.1415926535897931],
+              [2.7182818284590451e100, -1.4142135623730951e-100, 6.0221407599999999e23],
+              [1.0000000000000002, 0.99999999999999989, -123456789.01234567]],
+             [[4.4408920985006262e-16, -1.2345678901234567e-300, 8.9884656743115795e307],
+              [2.2204460492503131e-16, -9.9999999999999995e-8, 1.7976931348623155e308]],
+             0.30000000000000004, 2.2250738585072014e-308),
+        ]
         out = tmp_path / "awkward.json"
-        save_system(sys_rand, out)
-        back = load_system(out)
-        assert np.array_equal(sys_rand.A, back.A)
-        assert np.array_equal(sys_rand.C, back.C)
-        assert back.noise.sigma_nu == sys_rand.noise.sigma_nu
-        assert back.noise.sigma_omega == sys_rand.noise.sigma_omega
+        for A, C, sigma_nu, sigma_omega in cases:
+            sys_rand = LinearSystem(
+                n=3, m=2, A=A, C=C, noise=NoiseModel.iid(sigma_nu, sigma_omega)
+            )
+            save_system(sys_rand, out)
+            back = load_system(out)
+            # compared as bit patterns, so -0.0 must come back as -0.0
+            assert np.array_equal(sys_rand.A.view(np.uint64), back.A.view(np.uint64))
+            assert np.array_equal(sys_rand.C.view(np.uint64), back.C.view(np.uint64))
+            assert back.noise.sigma_nu == sys_rand.noise.sigma_nu
+            assert back.noise.sigma_omega == sys_rand.noise.sigma_omega
 
 
 class TestTimeVarying:
