@@ -10,7 +10,6 @@ is fully deterministic given its argument list.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys as _sys
 
@@ -19,7 +18,7 @@ import numpy as np
 from . import dp, generic, intrinsic, sim
 from .errors import ConditioningError, ValidationError
 from .obsv import build_bundle, null_basis
-from .sysmodel import NoiseModel, load_structure, load_system, require_lti
+from .sysmodel import load_structure, load_system, require_lti
 
 
 def _parse_nodes(text: str) -> tuple:
@@ -83,7 +82,7 @@ def cmd_audit(args) -> dict:
 
 def cmd_calibrate(args) -> dict:
     """The floor of ``dp.calibrate_sigma_omega`` and a ``dp.delta_min`` table
-    for the calibrated system, from one bundle, one ||O_T|| and one Sigma."""
+    for the calibrated system, from one bundle and one ||O_T||."""
     system = require_lti(load_system(args.system))
     budget = dp.DpBudget(epsilon=args.epsilon, delta=args.delta, d=args.d, N=args.N, T=args.T)
     dp._require_iid(system, "calibrate_sigma_omega")
@@ -99,10 +98,7 @@ def cmd_calibrate(args) -> dict:
     )
     if not grid:
         raise ValidationError("epsilon-grid: empty grid")
-    calibrated = dataclasses.replace(
-        system, noise=NoiseModel.iid(system.noise.sigma_nu, floor)
-    )
-    s_min = dp._sigma_min(calibrated, bundle.O_T, bundle.T)
+    s_min = floor**2  # lambda_min(Sigma) of the calibrated iid system
     table = [
         {"epsilon": eps, "delta_min": dp._delta_min(dp._epsilon(eps), c, s_min)} for eps in grid
     ]

@@ -17,15 +17,24 @@ In the iid case Sigma = sigma_nu^2 S + sigma_omega^2 I with S = H_T H_T^T,
 and S follows from O_T alone: with K = O O^T for O the first mT rows of O_T,
 its m x m blocks obey S[i, j] = S[i-1, j-1] + K[i-1, j-1], block row and
 column 0 being zero.  S is filled one block row at a time from the row above,
-in O(m^2 T^2 n) work, so H_T (m(T+1) x nT) is never formed.
+in O(m^2 T^2 n) work, so H_T (m(T+1) x nT) is never formed.  Block row 0 of
+H_T is zero, so S is singular and lambda_min(Sigma) = sigma_omega^2 exactly,
+at every T: the standard iid check, ``delta_min`` and the calibration table
+use that closed form and need only ||O_T||.  The eigensolve serves general
+noise alone.
+
+Q and its inverse come from the standard library: Q(w) = erfc(w / sqrt 2) / 2
+with ``math.erfc``, and Q^-1(p) = -Phi^-1(p) with ``statistics.NormalDist``
+(Wichura's AS241 algorithm).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import erfc, erfcinv
 
 from ._util import integer, real
 from .errors import ConditioningError, ValidationError
@@ -45,7 +54,8 @@ __all__ = [
     "delta_min",
 ]
 
-_SQRT2 = float(np.sqrt(2.0))
+_SQRT2 = math.sqrt(2.0)
+_STANDARD_NORMAL = NormalDist()
 
 # Relative slack on the certification inequality; absorbs the rounding-order
 # difference between a calibrated noise floor and the threshold it must meet.
@@ -54,7 +64,7 @@ BOUNDARY_RTOL = 1e-12
 
 def q_function(w: float) -> float:
     """Standard normal upper tail Q(w) = P(Z > w)."""
-    return float(0.5 * erfc(real(w, "w") / _SQRT2))
+    return 0.5 * math.erfc(real(w, "w") / _SQRT2)
 
 
 def q_inverse(p: float) -> float:
@@ -62,7 +72,8 @@ def q_inverse(p: float) -> float:
     p = real(p, "p")
     if not 0.0 < p <= 0.5:
         raise ValidationError(f"p: q_inverse requires p in (0, 0.5], got {p!r}")
-    return float(_SQRT2 * erfcinv(2.0 * p))
+    # + 0.0 turns the -0.0 of -inv_cdf(0.5) into +0.0.
+    return -_STANDARD_NORMAL.inv_cdf(p) + 0.0
 
 
 def _epsilon(value) -> float:
@@ -190,7 +201,13 @@ def effective_covariance(sys: LinearSystem, T: int | None = None) -> np.ndarray:
 
 
 def _sigma_min(sys: LinearSystem, O_T: np.ndarray, T: int) -> float:
-    """Smallest eigenvalue of the effective covariance at horizon T, given O_T."""
+    """Smallest eigenvalue of the effective covariance at horizon T, given O_T.
+
+    sigma_omega^2 in closed form for iid noise (module docstring); an
+    eigensolve of Sigma for general noise.
+    """
+    if sys.noise.kind == "iid":
+        return sys.noise.sigma_omega**2
     return float(np.linalg.eigvalsh(_noise_covariance(sys, O_T, T))[0])
 
 
@@ -229,19 +246,18 @@ def check_dp(sys: LinearSystem, budget: DpBudget, refined: bool = False) -> DpVe
     if refined:
         _require_iid(sys, "refined")
     bundle = build_bundle(sys, budget.T)
-    sigma = _noise_covariance(sys, bundle.O_T, bundle.T)
     if refined:
-        eigs = np.linalg.eigvalsh(sigma)
-        if eigs[0] <= 0:
+        if sys.noise.sigma_omega == 0:
             raise ConditioningError(
                 "refined: effective covariance is singular (needs sigma_omega > 0)"
             )
+        sigma = _noise_covariance(sys, bundle.O_T, bundle.T)
         gram = bundle.O_T.T @ np.linalg.solve(sigma, bundle.O_T)
         lhs = float(np.linalg.norm(0.5 * (gram + gram.T), 2))
         rhs = 1.0 / (budget.d**2 * budget.N * k * k)
         ok = lhs <= rhs * (1.0 + BOUNDARY_RTOL)
         return DpVerdict(satisfied=ok, lhs=lhs, rhs=rhs, kappa=k, refined_used=True)
-    lhs = float(np.linalg.eigvalsh(sigma)[0])
+    lhs = _sigma_min(sys, bundle.O_T, bundle.T)
     rhs = budget.d**2 * budget.N * _norm_OT(bundle.O_T) ** 2 * k * k
     ok = lhs >= rhs * (1.0 - BOUNDARY_RTOL)
     return DpVerdict(satisfied=ok, lhs=lhs, rhs=rhs, kappa=k, refined_used=False)

@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from ._util import derive_seed, integer, real
 from .errors import ConditioningError, ValidationError
-from .dp import _noise_covariance, _radius
+from .dp import _noise_covariance, _radius, q_function
 from .obsv import _output_power_blocks, null_basis, rank_tolerance
 from .sysmodel import LinearSystem, require_lti
 
@@ -345,9 +344,9 @@ class EmpiricalDpReport:
 def _analytic_cell_probs(mu: float, var: float, edges: np.ndarray) -> np.ndarray:
     """Exact per-cell probabilities of a scalar output coordinate."""
     if var > 0:
-        sd = np.sqrt(var)
-        cdf = ndtr((edges - mu) / sd)
-        return np.diff(cdf)
+        # Phi(z) = Q(-z) at each edge; a few hundred scalar calls per probe.
+        z = ((edges - mu) / np.sqrt(var)).tolist()
+        return np.diff([q_function(-t) for t in z])
     probs = np.zeros(len(edges) - 1)
     idx = int(np.searchsorted(edges, mu, side="right") - 1)
     idx = min(max(idx, 0), len(probs) - 1)

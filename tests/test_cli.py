@@ -228,7 +228,7 @@ class TestCalibrate:
             ],
             "calibrate",
         )
-        assert counts == {"build_bundle": 1, "_noise_covariance": 1}
+        assert counts == {"build_bundle": 1, "_noise_covariance": 0}
         monkeypatch.undo()
         system = load_system(file_line2_first)
         budget = ivpaudit.DpBudget(epsilon=1, delta=0.05, d=1.0, N=1)

@@ -1,4 +1,5 @@
-"""Every third-party module the package imports is a declared dependency."""
+"""The package's third-party imports and its declared runtime dependencies
+match: every import is declared, and every declared dependency is imported."""
 
 import ast
 import re
@@ -21,11 +22,21 @@ def _imported_modules() -> set:
     return names - set(sys.stdlib_module_names) - {"ivpaudit"}
 
 
-def test_third_party_imports_are_declared():
+def _declared_dependencies() -> set:
     tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
     with open(ROOT / "pyproject.toml", "rb") as fh:
         requirements = tomllib.load(fh)["project"]["dependencies"]
-    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower() for req in requirements}
+    return {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower() for req in requirements}
+
+
+def test_third_party_imports_are_declared():
+    declared = _declared_dependencies()
     imported = _imported_modules()
     assert "numpy" in imported  # the walk sees the package's imports
     assert sorted(imported - declared) == []
+
+
+def test_declared_dependencies_are_imported():
+    declared = _declared_dependencies()
+    assert "numpy" in declared  # the table was read
+    assert sorted(declared - _imported_modules()) == []

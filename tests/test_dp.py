@@ -1,5 +1,7 @@
 """Gaussian tail utilities, budget checks, calibration."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -29,6 +31,7 @@ from ivpaudit import (
 from ivpaudit import dp, obsv
 from ivpaudit.dp import _noise_covariance, stacked_noise_covariance
 from ivpaudit.obsv import stacked_maps
+from ivpaudit.sim import _analytic_cell_probs
 
 # kappa(1, 0.05), frozen from the bisection oracle below.
 KAPPA_1_005 = 1.9070400457036372
@@ -95,6 +98,71 @@ class TestTailFunctions:
             q_function(np.nan)
 
 
+# Reference values computed once with mpmath at 80 digits from the exact
+# float arguments, then rounded to the nearest double.
+Q_REFERENCE = [
+    (-8.0, 0.9999999999999993),
+    (-1.0, 0.8413447460685429),
+    (0.0, 0.5),
+    (0.5, 0.3085375387259869),
+    (3.0, 0.0013498980316300946),
+    (10.0, 7.619853024160525e-24),
+    (30.0, 4.906713927148187e-198),
+]
+Q_INVERSE_REFERENCE = [
+    (0.5, 0.0),
+    (0.05, 1.6448536269514726),
+    (1e-3, 3.0902323061678136),
+    (1e-10, 6.361340902404057),
+    (1e-100, 21.273453560965326),
+    (1e-300, 37.0470962993612),
+]
+# Cells of N(0.25, 2) between these edges.
+CELL_MU, CELL_VAR = 0.25, 2.0
+CELL_EDGES = [-14.0, -3.0, -1.0, 0.0, 0.5, 1.75, 4.0]
+CELL_REFERENCE = [
+    0.010778133380008168,
+    0.17760142552578284,
+    0.24146233869354208,
+    0.1403162048013338,
+    0.28541971442609065,
+    0.14041721200830243,
+]
+
+
+def argument_rounding(z: float) -> float:
+    """Error of Phi or Q at z caused by rounding z itself: |z| phi(z) times a
+    few units of 2^-53 (z = w / sqrt 2 or (edge - mu) / sd is rounded two or
+    three times).  Relative to Q(w) this is about w^2 2^-51, so the far tail
+    gets more than a few ulp (4e-13 at w = 30)."""
+    return 2.0**-51 * abs(z) * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+
+class TestTailAccuracy:
+    """The stdlib tails against high-precision literals."""
+
+    @pytest.mark.parametrize("w, want", Q_REFERENCE)
+    def test_q_function(self, w, want):
+        tol = 4 * math.ulp(want) + argument_rounding(w)
+        assert abs(q_function(w) - want) <= tol
+        if abs(w) >= 10:
+            assert abs(q_function(w) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("p, want", Q_INVERSE_REFERENCE)
+    def test_q_inverse(self, p, want):
+        assert abs(q_inverse(p) - want) <= 4 * math.ulp(want)
+
+    def test_q_inverse_at_half_is_positive_zero(self):
+        assert math.copysign(1.0, q_inverse(0.5)) == 1.0
+
+    def test_analytic_cell_probs(self):
+        got = _analytic_cell_probs(CELL_MU, CELL_VAR, np.array(CELL_EDGES))
+        z = [(e - CELL_MU) / math.sqrt(CELL_VAR) for e in CELL_EDGES]
+        for k, want in enumerate(CELL_REFERENCE):
+            tol = 4 * math.ulp(want) + argument_rounding(z[k]) + argument_rounding(z[k + 1])
+            assert abs(got[k] - want) <= tol
+
+
 class TestKappa:
     def test_frozen_reference_value(self):
         assert kappa(1.0, 0.05) == pytest.approx(KAPPA_1_005, abs=1e-12)
@@ -143,6 +211,13 @@ class TestBudget:
     def test_invalid_budget_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             DpBudget(**kwargs)
+
+
+def unstable_iid() -> LinearSystem:
+    """n = 11, m = 2, A = 6.6 Q with Q orthogonal: spectral radius 6.6."""
+    rng = np.random.default_rng(0)
+    Q, _ = np.linalg.qr(rng.standard_normal((11, 11)))
+    return make_iid(6.6 * Q, rng.standard_normal((2, 11)), 1.0, math.sqrt(1.029))
 
 
 class TestCheckDp:
@@ -230,6 +305,17 @@ class TestCheckDp:
                 DpBudget(epsilon=1, delta=0.05, d=1, N=1),
                 refined=True,
             )
+
+    @pytest.mark.parametrize("T", [12, 19])
+    def test_iid_lhs_is_sigma_omega_squared_on_unstable_system(self, T):
+        # lambda_min(Sigma) = sigma_omega^2 exactly for iid noise; an eigensolve
+        # of this Sigma (entries up to about 6.6^(2T)) loses sigma_omega^2 to
+        # rounding and can come out large and negative.
+        system = unstable_iid()
+        sigma_omega = system.noise.sigma_omega
+        verdict = check_dp(system, DpBudget(epsilon=1, delta=0.05, d=1, N=1, T=T))
+        assert verdict.lhs == sigma_omega**2
+        assert 0.0 < delta_min(system, 1.0, d=1.0, N=1, T=T) <= 1.0
 
     def test_general_noise_standard_path(self):
         # Joint covariance reproducing iid sigma_nu=1, sigma_omega=1 at T=1.

@@ -282,6 +282,19 @@ def test_import_does_not_load_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(ivpaudit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, ivpaudit, ivpaudit.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 class TestAttack:
     def test_zero_noise_single_run_recovery(self):
         system = noiseless([[0.5, 1.0], [0.0, 0.3]], [[1.0, 2.0]])
