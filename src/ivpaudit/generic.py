@@ -9,24 +9,34 @@ samples and look for the certifying event; observing it certifies generic
 privacy outright, while never observing it indicates generic loss (correct
 with probability one).
 
-Each sample takes one SVD of its O_ob (``obsv.null_basis``).  The hidden
-rank rank(O_ob E_Pbar) is (n - |P|) - (k - rank(N_P)) for the null basis N
-with k columns, and the paper's three certifying conditions C1-C3 reduce to
-the one identity hidden rank + [node i private] == n_P_ob + 1.
+A round's samples are ranked as one stack: their weight vectors fill a stack
+of A and C in one scatter, batched products build the stack of O_ob, and one
+stacked SVD gives every sample's null basis N through the read-off of
+``obsv.null_basis``, so each verdict is the one a separate SVD per sample
+would give.  Stacks are cut into blocks of at most ``BLOCK_BYTES``, and a
+node verdict ranks its estimate and verify rounds in the same stack; the
+verify round checks every sample.  The hidden rank rank(O_ob E_Pbar) is
+(n - |P|) - (k - rank(N_P)) for N with k columns, taken in one stacked SVD
+of the rows N_P per value of k (``obsv.hidden_ranks``), and the paper's three
+certifying conditions C1-C3 reduce to the one identity hidden rank + [node i
+private] == n_P_ob + 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
+
+import numpy as np
 
 from ._util import derive_seed, integer
 from .intrinsic import IndexReport, PrivacyVerdict, _check_node, node_private
-from .obsv import build_bundle, null_basis
+from .obsv import NullBasis, _output_power_blocks, hidden_ranks, null_bases
 from .sysmodel import (
     Configuration,
     DisclosureSet,
     NetworkStructure,
+    fill_weights,
     instantiate,
     sample_configuration,
 )
@@ -42,6 +52,11 @@ __all__ = [
 ]
 
 DEFAULT_SAMPLES = 8
+
+#: Bytes of stacked arrays (A, the powers C A^k, O_ob and the SVD's U and
+#: Vt) that one block of samples may hold, so that memory does not grow with
+#: ``samples``.  Larger blocks gain little speed and raise the peak RSS.
+BLOCK_BYTES = 2**19
 
 _STEP_ESTIMATE = 0
 _STEP_VERIFY = 1
@@ -120,12 +135,44 @@ class DichotomyReport:
 
 
 def _sampled_system(structure: NetworkStructure, seed: int, step: int, k: int, signed: bool):
-    config = sample_configuration(structure, derive_seed(seed, step, k), signed=signed)
-    return instantiate(structure, config)
+    """Weight vector of sample ``k`` of round ``step``: the draw of one sample."""
+    return sample_configuration(structure, derive_seed(seed, step, k), signed=signed).theta
 
 
-def _sampled_kernel(structure: NetworkStructure, seed: int, step: int, k: int, signed: bool):
-    return null_basis(build_bundle(_sampled_system(structure, seed, step, k, signed)).O_ob)
+def _sample_bytes(structure: NetworkStructure) -> int:
+    """Upper bound on the bytes one sample holds in a block: A, the powers
+    C A^k and O_ob, and the U and Vt of its SVD."""
+    n, m = structure.n, structure.m
+    return 8 * n * (n + 1) * (3 * m + 2)
+
+
+def _kernel_blocks(
+    structure: NetworkStructure, seed: int, signed: bool, draws: Sequence[tuple[int, int]]
+) -> Iterator[tuple[Sequence[tuple[int, int]], list[NullBasis]]]:
+    """(draws, null bases of O_ob) block by block for the (step, k) samples ``draws``.
+
+    A block holds as many samples as fit in ``BLOCK_BYTES``.  Its A and C
+    are filled in one scatter, its O_ob stack is built by batched products
+    and read through one stacked SVD (``obsv.null_bases``), so each null
+    basis equals ``null_basis`` of that sample's own O_ob.  An overflowing
+    power raises ``ConditioningError`` naming the earliest step at which any
+    sample of the block overflows.
+    """
+    per_block = max(1, BLOCK_BYTES // _sample_bytes(structure))
+    for start in range(0, len(draws), per_block):
+        block = draws[start:start + per_block]
+        theta = np.array([_sampled_system(structure, seed, step, k, signed) for step, k in block])
+        # One expression, so that A, the power blocks and O_ob are freed once read.
+        yield block, null_bases(
+            np.concatenate(_output_power_blocks(*fill_weights(structure, theta), structure.n), axis=-2)
+        )
+
+
+def _estimate(hidden: list[int], seed: int) -> GenericRankEstimate:
+    """Estimate from the sampled hidden ranks of one round."""
+    best = max(hidden)
+    agreement = sum(1 for r in hidden if r == best) / len(hidden)
+    return GenericRankEstimate(n_P_ob=best, samples=len(hidden), seed=seed, agreement=agreement)
 
 
 def estimate_generic_rank(
@@ -135,19 +182,22 @@ def estimate_generic_rank(
     seed: int = 0,
     signed: bool = False,
 ) -> GenericRankEstimate:
-    """Maximum rank of O_ob E_Pbar over ``samples`` random configurations."""
+    """Maximum rank of O_ob E_Pbar over ``samples`` random configurations.
+
+    Raises ``ConditioningError`` when a power C A^k of some sample overflows;
+    the samples are stacked in blocks, and the message names the earliest k
+    at which any sample of a block overflows.
+    """
     samples = integer(samples, "samples", 1)
     seed = integer(seed, "seed", 0)
     P = DisclosureSet.coerce(P)
     P.validate_range(structure.n)
 
-    ranks = [
-        _sampled_kernel(structure, seed, _STEP_ESTIMATE, k, signed).hidden_rank(P.nodes)
-        for k in range(samples)
-    ]
-    best = max(ranks)
-    agreement = sum(1 for r in ranks if r == best) / samples
-    return GenericRankEstimate(n_P_ob=best, samples=samples, seed=seed, agreement=agreement)
+    draws = [(_STEP_ESTIMATE, k) for k in range(samples)]
+    hidden = []
+    for _, kernels in _kernel_blocks(structure, seed, signed, draws):
+        hidden += hidden_ranks(kernels, P.nodes)
+    return _estimate(hidden, seed)
 
 
 def generic_node_privacy(
@@ -162,19 +212,26 @@ def generic_node_privacy(
 
     Step 1 estimates the generic hidden rank; step 2 draws fresh
     configurations and watches for the certifying event.  An observed event
-    proves generic privacy; an unobserved event indicates generic loss.
+    proves generic privacy; an unobserved event indicates generic loss.  Both
+    rounds are ranked in one stack, and step 2 checks all of its samples.
+    Raises ``ConditioningError`` when a power C A^k of some sample overflows;
+    the message names the earliest k at which any sample of a block does.
     """
     i, P = _check_node(structure.n, i, P)
-    estimate = estimate_generic_rank(structure, P, samples=samples, seed=seed, signed=signed)
+    samples = integer(samples, "samples", 1)
+    seed = integer(seed, "seed", 0)
 
-    def hit(k: int) -> bool:
-        # The certifying event: C1, C2 and C3 are this one identity of ranks.
-        kern = _sampled_kernel(structure, seed, _STEP_VERIFY, k, signed)
-        hidden = kern.hidden_rank(P.nodes)
-        private = kern.hidden_rank(P.nodes + (i,)) == hidden
-        return hidden + private == estimate.n_P_ob + 1
-
-    observed = any(hit(k) for k in range(samples))
+    draws = [(step, k) for step in (_STEP_ESTIMATE, _STEP_VERIFY) for k in range(samples)]
+    hidden, hidden_i = [], []
+    for block, kernels in _kernel_blocks(structure, seed, signed, draws):
+        hidden += hidden_ranks(kernels, P.nodes)
+        verify = [kern for (step, _), kern in zip(block, kernels) if step == _STEP_VERIFY]
+        hidden_i += hidden_ranks(verify, P.nodes + (i,))
+    estimate = _estimate(hidden[:samples], seed)
+    # The certifying event: C1, C2 and C3 are this one identity of ranks.
+    observed = any(
+        h + (h_i == h) == estimate.n_P_ob + 1 for h, h_i in zip(hidden[samples:], hidden_i)
+    )
     return GenericVerdict(
         node=i,
         P=P,

@@ -260,6 +260,13 @@ def privacy_index_bruteforce(
     the disclosure set, so the first failing size terminates the scan.  Each
     size's sets are ranked in blocks through stacked SVDs of rows of the null
     basis (``NullBasis.row_ranks``), with the verdicts of the node test.
+
+    The cap still admits scans of minutes, in bounded memory (a block holds
+    at most ``MAX_BLOCK`` sets).  At n = 22 with 11 isolated nodes next to a
+    chain of 11 measured at its end (k = 11), levels 0 to 11 rank about
+    2.4 M sets, 20 M row subsets in all, in about 3 min on a 2-core machine.
+    With rank(O_ob) = 1 (k = 21) every level below 21 holds, and the scan
+    ranks all 4.2 M sets in about 3.5 min.
     """
     n = sys.n
     if n > BRUTEFORCE_MAX_NODES:

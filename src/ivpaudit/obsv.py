@@ -16,7 +16,9 @@ follows from O_T, see ``dp``), so a bundle builds H_T on first read of
 
 ``null_basis`` is the one rank kernel: a single SVD of O_ob gives its rank
 and an orthonormal null basis N, and every verdict in ``intrinsic``,
-``generic`` and ``sim`` is read off N (see ``NullBasis``).
+``generic`` and ``sim`` is read off N (see ``NullBasis``).  ``null_bases``
+is the same kernel over a stack of matrices, of which ``null_basis`` is the
+one-matrix case, and ``hidden_ranks`` reads many bases at once.
 """
 
 from __future__ import annotations
@@ -140,10 +142,14 @@ def build_tv_observability(sys: TimeVaryingSystem, T: int | None = None) -> np.n
 
 
 def rank_tolerance(M: np.ndarray, sigma_max: float | None = None) -> float:
-    """Default singular-value cutoff: sigma_max * max(shape) * machine eps."""
+    """Default singular-value cutoff: sigma_max * max(shape) * machine eps.
+
+    With ``sigma_max`` given, M may also be a stack; its last two axes are
+    the matrix shape.
+    """
     if sigma_max is None:
         sigma_max = float(np.linalg.norm(M, 2)) if min(M.shape) > 0 else 0.0
-    return sigma_max * max(M.shape) * np.finfo(float).eps
+    return sigma_max * max(M.shape[-2:]) * np.finfo(float).eps
 
 
 def numerical_rank(M, tol: float | None = None) -> int:
@@ -186,29 +192,67 @@ class NullBasis(NamedTuple):
     norm: float
 
     def row_ranks(self, rows: np.ndarray) -> np.ndarray:
-        """rank(N[rows[s]]) for every row s of the sets x size index array ``rows``.
-
-        One stacked SVD with the ``full_matrices`` flag of ``null_basis``, so
-        each rank counts the singular values that ``null_basis(N[rows[s]],
-        row_tol)`` counts; ``compute_uv=False`` takes another LAPACK path whose
-        values can differ in the last bits.
-        """
-        sets, size = rows.shape
-        k = self.N.shape[1]
-        if size == 0 or k == 0:
-            return np.zeros(sets, dtype=int)
-        s = np.linalg.svd(self.N[rows], full_matrices=size < k)[1]
-        return (s > self.row_tol).sum(axis=1)
+        """rank(N[rows[s]]) for every row s of the sets x size index array ``rows``,
+        from one stacked SVD (see :func:`_stacked_ranks`)."""
+        return _stacked_ranks(self.N[rows], self.row_tol)
 
     def hidden_rank(self, rows) -> int:
         """Rank of the columns of M outside ``rows``: n - |rows| minus the
         k - rank(N_rows) null directions that vanish on ``rows``."""
-        n, k = self.N.shape
-        return n - len(rows) - k + int(self.row_ranks(np.array([rows], dtype=np.intp))[0])
+        return hidden_ranks([self], rows)[0]
 
     def vanishing_on(self, rows) -> np.ndarray:
         """Orthonormal basis of the null vectors of M that are zero at ``rows``."""
         return self.N @ null_basis(self.N[list(rows)], self.row_tol).N
+
+
+def _stacked_ranks(M: np.ndarray, tol) -> np.ndarray:
+    """Number of singular values above ``tol`` of each matrix in the stack M.
+
+    One stacked SVD with the ``full_matrices`` flag of ``null_basis``, so
+    each rank counts the singular values that ``null_basis(M[s], tol)``
+    counts; ``compute_uv=False`` takes another LAPACK path whose values can
+    differ in the last bits.  ``tol`` is a scalar or one cutoff per matrix.
+    """
+    count, rows, k = M.shape
+    if rows == 0 or k == 0:
+        return np.zeros(count, dtype=int)
+    s = np.linalg.svd(M, full_matrices=rows < k)[1]
+    return (s > np.asarray(tol)[..., None]).sum(axis=-1)
+
+
+def hidden_ranks(kernels: list[NullBasis], rows) -> list[int]:
+    """``NullBasis.hidden_rank(rows)`` of every kernel, with one stacked SVD
+    of the rows of N per null-space dimension k."""
+    out = [0] * len(kernels)
+    by_k: dict[int, list[int]] = {}
+    for j, kern in enumerate(kernels):
+        by_k.setdefault(kern.N.shape[1], []).append(j)
+    rows = list(rows)
+    for k, group in by_k.items():
+        N_rows = np.array([kernels[j].N[rows] for j in group])
+        ranks = _stacked_ranks(N_rows, [kernels[j].row_tol for j in group])
+        for j, r in zip(group, ranks.tolist()):
+            out[j] = kernels[j].N.shape[0] - len(rows) - k + r
+    return out
+
+
+def null_bases(M: np.ndarray, tol: float | None = None) -> list[NullBasis]:
+    """:func:`null_basis` of every matrix in the count x rows x n stack M from
+    one stacked SVD, read off matrix by matrix with the same cutoffs."""
+    count, rows, n = M.shape
+    if min(rows, n) == 0:
+        s, Vt = np.zeros((count, 0)), np.tile(np.eye(n), (count, 1, 1))
+    else:
+        _, s, Vt = np.linalg.svd(M, full_matrices=rows < n)
+    out = []
+    for s_j, Vt_j in zip(s, Vt):
+        norm = float(s_j[0]) if s_j.size else 0.0
+        cut = rank_tolerance(M, norm) if tol is None else tol
+        rank = int(np.count_nonzero(s_j > cut))
+        row_tol = min(ROW_TOL_FACTOR * cut / float(s_j[rank - 1]), 0.5) if rank else 0.0
+        out.append(NullBasis(rank=rank, N=Vt_j[rank:].T, tol=float(cut), row_tol=row_tol, norm=norm))
+    return out
 
 
 def null_basis(M: np.ndarray, tol: float | None = None) -> NullBasis:
@@ -219,17 +263,7 @@ def null_basis(M: np.ndarray, tol: float | None = None) -> NullBasis:
     """
     if tol is not None and real(tol, "rank tolerance") < 0:
         raise ValidationError(f"rank tolerance: must be >= 0, got {tol!r}")
-    n = M.shape[1]
-    if min(M.shape) == 0:
-        s, Vt = np.zeros(0), np.eye(n)
-    else:
-        _, s, Vt = np.linalg.svd(M, full_matrices=M.shape[0] < n)
-    norm = float(s[0]) if s.size else 0.0
-    if tol is None:
-        tol = rank_tolerance(M, norm)
-    rank = int(np.count_nonzero(s > tol))
-    row_tol = min(ROW_TOL_FACTOR * tol / float(s[rank - 1]), 0.5) if rank else 0.0
-    return NullBasis(rank=rank, N=Vt[rank:].T, tol=float(tol), row_tol=row_tol, norm=norm)
+    return null_bases(M[np.newaxis], tol)[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -348,6 +348,24 @@ class DisclosureSet:
         return i in self.nodes
 
 
+def fill_weights(structure: NetworkStructure, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices A (..., n, n) and C (..., m, n) for weight vectors ``theta`` (..., n_weights).
+
+    One index assignment per matrix places the weights in canonical edge
+    order, for one vector or a whole stack of them; every other entry is
+    exactly zero.
+    """
+    lead = theta.shape[:-1]
+    n, m = structure.n, structure.m
+    A = np.zeros(lead + (n, n))
+    C = np.zeros(lead + (m, n))
+    src, dst = np.array(structure.edges, dtype=np.intp).reshape(-1, 2).T
+    A[..., dst, src] = theta[..., : len(src)]
+    src, sensor = np.array(structure.sensor_edges, dtype=np.intp).reshape(-1, 2).T
+    C[..., sensor, src] = theta[..., len(structure.edges):]
+    return A, C
+
+
 def instantiate(
     structure: NetworkStructure,
     config: Union[Configuration, Sequence[float]],
@@ -367,15 +385,7 @@ def instantiate(
             f"({len(structure.edges)} edges + {len(structure.sensor_edges)} sensor edges), "
             f"got {len(config)}"
         )
-    A = np.zeros((structure.n, structure.n))
-    C = np.zeros((structure.m, structure.n))
-    k = 0
-    for src, dst in structure.edges:
-        A[dst, src] = config.theta[k]
-        k += 1
-    for src, sensor in structure.sensor_edges:
-        C[sensor, src] = config.theta[k]
-        k += 1
+    A, C = fill_weights(structure, config.theta)
     return LinearSystem(
         n=structure.n,
         m=structure.m,

@@ -79,7 +79,7 @@ class TestAudit:
             calls.append(args)
             return build(*args, **kwargs)
 
-        for module in (ivpaudit, obsv, intrinsic, ivpaudit.cli, ivpaudit.dp, generic):
+        for module in (ivpaudit, obsv, intrinsic, ivpaudit.cli, ivpaudit.dp):
             monkeypatch.setattr(module, "build_bundle", counted)
         payload = run_json(
             capsys, ["audit", "--system", path, "--node", "1,2", "--public", "3"], "audit"
@@ -208,7 +208,7 @@ class TestCalibrate:
             return wrapper
 
         bundle = counted("build_bundle", obsv.build_bundle)
-        for module in (ivpaudit, obsv, intrinsic, ivpaudit.cli, ivpaudit.dp, generic):
+        for module in (ivpaudit, obsv, intrinsic, ivpaudit.cli, ivpaudit.dp):
             monkeypatch.setattr(module, "build_bundle", bundle)
         covariance = counted("_noise_covariance", ivpaudit.dp._noise_covariance)
         monkeypatch.setattr(ivpaudit.dp, "_noise_covariance", covariance)

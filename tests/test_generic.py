@@ -1,9 +1,13 @@
 """Structure-level (generic) rank estimates, verdicts, and the dichotomy."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ivpaudit import (
+    ConditioningError,
     NetworkStructure,
     ValidationError,
     build_bundle,
@@ -15,6 +19,10 @@ from ivpaudit import (
     node_private,
     sample_configuration,
 )
+from ivpaudit import generic
+from ivpaudit._util import derive_seed
+from ivpaudit.cli import main
+from ivpaudit.obsv import null_basis
 from conftest import TREE4_SPECIAL_THETA, random_structure
 
 
@@ -167,3 +175,122 @@ class TestDichotomy:
         assert d["exception_surface_hit"] is True
         assert d["generic"]["generically_private"] is True
         assert d["exact"]["private"] is False
+
+
+def sample_kernel(structure, seed, step, k, signed):
+    """Null basis of one sample's O_ob, built and ranked on its own."""
+    config = sample_configuration(structure, derive_seed(seed, step, k), signed=signed)
+    return null_basis(build_bundle(instantiate(structure, config)).O_ob)
+
+
+def reference_estimate(structure, P, samples, seed, signed):
+    ranks = [
+        sample_kernel(structure, seed, 0, k, signed).hidden_rank(P) for k in range(samples)
+    ]
+    best = max(ranks)
+    return {"n_P_ob": best, "samples": samples, "seed": seed,
+            "agreement": ranks.count(best) / samples}
+
+
+def reference_verdict(structure, i, P, samples, seed, signed):
+    """The verdict's dict from a per-sample loop over both rounds."""
+    estimate = reference_estimate(structure, P, samples, seed, signed)
+    observed = False
+    for k in range(samples):
+        kern = sample_kernel(structure, seed, 1, k, signed)
+        hidden = kern.hidden_rank(P)
+        private = kern.hidden_rank(P + (i,)) == hidden
+        observed |= hidden + private == estimate["n_P_ob"] + 1
+    return {"node": i, "P": list(P), "generically_private": observed,
+            "event_E_observed": observed,
+            "condition_hit": ["C1", "C2", "C3"] if observed else [], "estimate": estimate}
+
+
+def stacking_structures():
+    rng = np.random.default_rng(1212)
+    drawn = [random_structure(rng, n_max=10) for _ in range(8)]
+    two_sensors = NetworkStructure(
+        n=5, m=2, edges=[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], sensor_edges=[(0, 0), (3, 1)]
+    )
+    return drawn + [empty_graph_single_sensor(4), two_sensors]
+
+
+class TestStackedRounds:
+    """A round's samples are ranked as one stack, with the per-sample results."""
+
+    @pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+    def test_stacked_kernels_equal_per_sample_kernels(self, monkeypatch, signed):
+        for structure in stacking_structures():
+            for block_bytes in (generic.BLOCK_BYTES, 3 * generic._sample_bytes(structure)):
+                monkeypatch.setattr(generic, "BLOCK_BYTES", block_bytes)
+                draws = [(step, k) for step in (0, 1) for k in range(8)]
+                got = [
+                    (d, kern)
+                    for block, kernels in generic._kernel_blocks(structure, 5, signed, draws)
+                    for d, kern in zip(block, kernels)
+                ]
+                assert [d for d, _ in got] == draws
+                for (step, k), kern in got:
+                    want = sample_kernel(structure, 5, step, k, signed)
+                    assert kern.rank == want.rank
+                    np.testing.assert_array_equal(kern.N, want.N)
+                    assert (kern.tol, kern.row_tol, kern.norm) == (want.tol, want.row_tol, want.norm)
+
+    @pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+    def test_estimate_and_verdict_equal_per_sample_loop(self, signed):
+        rng = np.random.default_rng(1313)
+        for structure in stacking_structures():
+            seed = int(rng.integers(1 << 30))
+            P = tuple(int(p) for p in rng.choice(structure.n, size=structure.n // 3, replace=False))
+            i = next(j for j in range(structure.n) if j not in P)
+            est = estimate_generic_rank(structure, P, samples=6, seed=seed, signed=signed)
+            assert est.to_dict() == reference_estimate(structure, P, 6, seed, signed)
+            verdict = generic_node_privacy(structure, i, P, samples=6, seed=seed, signed=signed)
+            assert verdict.to_dict() == reference_verdict(structure, i, P, 6, seed, signed)
+
+    def test_one_draw_per_sample(self, monkeypatch, struct_tree4):
+        draws = []
+        draw = generic._sampled_system
+        monkeypatch.setattr(
+            generic, "_sampled_system", lambda *args: draws.append(args[2:4]) or draw(*args)
+        )
+        generic_node_privacy(struct_tree4, 3, (), samples=5, seed=2)
+        assert draws == [(step, k) for step in (0, 1) for k in range(5)]
+
+    def test_peak_memory_is_one_block(self):
+        n = 60
+        line = [(j, j + 1) for j in range(n - 1)] + [(j + 1, j) for j in range(n - 1)]
+        structure = NetworkStructure(n=n, m=1, edges=line, sensor_edges=[(0, 0)])
+        estimate_generic_rank(structure, samples=2, seed=1)
+        tracemalloc.start()
+        try:
+            est = estimate_generic_rank(structure, samples=256, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.samples == 256
+        assert peak < generic.BLOCK_BYTES + generic._sample_bytes(structure)
+
+
+class TestOverflow:
+    """C A^k overflows on the complete 120-node digraph with weights in [0, 1]."""
+
+    N = 120
+
+    def complete_digraph(self) -> NetworkStructure:
+        edges = [(a, b) for a in range(self.N) for b in range(self.N) if a != b]
+        return NetworkStructure(n=self.N, m=1, edges=edges, sensor_edges=[(0, 0)])
+
+    def test_library_raises_conditioning_error(self):
+        structure = self.complete_digraph()
+        with pytest.raises(ConditioningError, match=r"entries of C A\^\d+ exceed 1e\+150"):
+            estimate_generic_rank(structure, seed=1)
+        with pytest.raises(ConditioningError, match=r"entries of C A\^\d+ exceed 1e\+150"):
+            generic_node_privacy(structure, 3, (), seed=1)
+
+    def test_generic_index_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "complete120.json"
+        path.write_text(json.dumps(self.complete_digraph().to_dict(one_based=True)))
+        code = main(["generic-index", "--structure", str(path), "--seed", "1"])
+        assert code == 3
+        assert "C A^" in capsys.readouterr().err

@@ -23,7 +23,7 @@ from ivpaudit import (
     sample_configuration,
     select_columns,
 )
-from ivpaudit.obsv import NullBasis, null_basis
+from ivpaudit.obsv import NullBasis, hidden_ranks, null_bases, null_basis
 from conftest import sweep_hidden_rank_identity
 
 
@@ -269,6 +269,35 @@ class TestNullBasis:
                 for P, rank in zip(sets, ranks):
                     assert rank == null_basis(N[list(P)], kern.row_tol).rank
                     assert kern.hidden_rank(P) == n - size - k + rank
+
+    @pytest.mark.parametrize("shape", [(3, 6), (9, 6), (6, 6), (0, 4)])
+    def test_stacked_bases_match_one_matrix_bases(self, shape):
+        # Each matrix of the stack has its own rank, from 0 up to full.
+        rng = np.random.default_rng(17)
+        rows, n = shape
+        stack = np.array([
+            rng.standard_normal((rows, r)) @ rng.standard_normal((r, n)) for r in range(min(shape) + 1)
+        ])
+        for tol in (None, 1e-3):
+            for M, got in zip(stack, null_bases(stack, tol)):
+                want = null_basis(M, tol)
+                assert (got.rank, got.tol, got.row_tol, got.norm) == (
+                    want.rank, want.tol, want.row_tol, want.norm
+                )
+                np.testing.assert_array_equal(got.N, want.N)
+
+    def test_hidden_ranks_match_each_kernel(self):
+        # Kernels with null spaces of different dimensions share one call.
+        rng = np.random.default_rng(23)
+        n = 6
+        kernels = [
+            null_basis(rng.standard_normal((n, r)) @ rng.standard_normal((r, n)))
+            for r in (2, 4, 2, 6, 0, 4, 5)
+        ]
+        for size in range(n + 1):
+            for rows in itertools.combinations(range(n), size):
+                assert hidden_ranks(kernels, rows) == [kern.hidden_rank(rows) for kern in kernels]
+        assert hidden_ranks([], (0,)) == []
 
     def test_not_exported(self):
         import ivpaudit
