@@ -5,11 +5,26 @@ attack, simulate.  Node indices on the command line and in JSON output are
 1-based to match system files.  Every randomized command requires --seed and
 is fully deterministic given its argument list.  Exit codes: 0 success,
 2 invalid input, 3 numerical conditioning failure.
+
+``main`` parses with one parser per process, built on its first call (not at
+import) and reused after: ``parse_args`` writes only to the new namespace, so
+one job's arguments never leak into the next.  Each subcommand's ``cmd_*``
+handler is bound to its parser by ``set_defaults`` when that parser is built,
+so patching ``cli.cmd_*`` after the first ``main`` call has no effect; patch
+the library functions the handlers call instead.  ``build_parser`` still
+returns a fresh parser for callers that want to extend one.
+
+Called in-process, ``main`` returns the exit code of a job that ran: 2 for a
+``ValidationError``, 3 for a ``ConditioningError``.  An argument argparse
+itself rejects (a missing required flag, an unknown subcommand, a
+non-integer count) raises ``SystemExit(2)`` from argparse instead, after
+printing the usage line to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys as _sys
 
@@ -276,9 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first ``main`` call (module docstring)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         payload = args.func(args)
     except ValidationError as exc:

@@ -21,7 +21,7 @@ in O(m^2 T^2 n) work, so H_T (m(T+1) x nT) is never formed.  Block row 0 of
 H_T is zero, so S is singular and lambda_min(Sigma) = sigma_omega^2 exactly,
 at every T: the standard iid check, ``delta_min`` and the calibration table
 use that closed form and need only ||O_T||.  The eigensolve serves general
-noise alone.
+noise alone, floored at lambda_min(Sigma_T) (see ``_sigma_min``).
 
 Q and its inverse come from the standard library: Q(w) = erfc(w / sqrt 2) / 2
 with ``math.erfc``, and Q^-1(p) = -Phi^-1(p) with ``statistics.NormalDist``
@@ -204,11 +204,17 @@ def _sigma_min(sys: LinearSystem, O_T: np.ndarray, T: int) -> float:
     """Smallest eigenvalue of the effective covariance at horizon T, given O_T.
 
     sigma_omega^2 in closed form for iid noise (module docstring); an
-    eigensolve of Sigma for general noise.
+    eigensolve of Sigma for general noise, floored at lambda_min(Sigma_T).
+    The floor is sound: Sigma = G Sigma_T G^T with G = [H_T I], and
+    G G^T = H_T H_T^T + I >= I (a floor at or below 0, which a Sigma_T within
+    the PSD tolerance can give, certifies nothing either way).  It matters on unstable systems, where
+    ||H_T|| grows like |lambda_max(A)|^T and the eigensolve's rounding error
+    swamps lambda_min(Sigma), down to large negative values.
     """
     if sys.noise.kind == "iid":
         return sys.noise.sigma_omega**2
-    return float(np.linalg.eigvalsh(_noise_covariance(sys, O_T, T))[0])
+    sigma = _noise_covariance(sys, O_T, T)
+    return float(max(np.linalg.eigvalsh(sigma)[0], np.linalg.eigvalsh(sys.noise.Sigma_T)[0]))
 
 
 def _norm_OT(O_T: np.ndarray) -> float:

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from importlib.resources import files
 
 import jsonschema
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import ivpaudit
-from ivpaudit import generic, intrinsic, load_structure, load_system, obsv
+from ivpaudit import cli, generic, intrinsic, load_structure, load_system, obsv
 from ivpaudit.cli import main
 from conftest import write_system_file
 
@@ -519,3 +521,105 @@ def test_unreadable_or_non_strict_file_exits_2(capsys, tmp_path, content, reason
     code, out, err = run_cli(capsys, ["audit", "--system", str(path)])
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {path}: {reason}")
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process and reuses it across jobs."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    @staticmethod
+    def call(capsys, argv):
+        """(exit code, stdout, stderr) of one in-process job; argparse errors included."""
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_reused_parser_matches_fresh_parser(
+        self, capsys, file_line2_first, file_line2_sum, file_struct_line3
+    ):
+        budget = ["--epsilon", "1", "--delta", "0.05"]
+        jobs = [
+            ["audit", "--system", file_line2_sum, "--node", "1,2"],
+            ["generic-check", "--structure", file_struct_line3, "--node", "1"],
+            ["calibrate", "--system", file_line2_first, *budget, "--epsilon-grid", "0.5,1"],
+            ["audit", "--system", file_line2_sum, "--node", "0"],
+            ["check-dp", "--system", file_line2_first, *budget, "--N", "3"],
+            ["check-dp", "--system", file_line2_sum, *budget, "--refined"],
+            ["generic-check", "--structure", file_struct_line3, "--node", "2", "--seed", "9"],
+            ["generic-index", "--structure", file_struct_line3, "--seed", "7", "--samples", "3"],
+            ["attack", "--system", file_line2_first, "--x0", "2,1", "--N", "20", "--seed", "4"],
+            ["simulate", "--system", file_line2_sum, "--x0", "2,1", "--N", "30", "--seed", "12"],
+            ["audit", "--system", file_line2_first],
+        ]
+        reused = [self.call(capsys, argv) for argv in jobs]
+        assert [code for code, _, _ in reused] == [0, 2, 0, 2, 0, 3, 0, 0, 0, 0, 0]
+        assert "usage: ivpaudit generic-check" in reused[1][2]
+        assert reused[3][2].startswith("error: ")
+        assert reused[5][2].startswith("conditioning error: ")
+        fresh = []
+        for argv in jobs:
+            cli._parser.cache_clear()
+            fresh.append(self.call(capsys, argv))
+        assert reused == fresh
+
+    def test_parser_built_once(self, capsys, monkeypatch, file_line2_sum, file_struct_line3):
+        calls = []
+        build = cli.build_parser
+
+        def counted():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        assert calls == []
+        for argv in (
+            ["audit", "--system", file_line2_sum],
+            ["generic-index", "--structure", file_struct_line3, "--seed", "7", "--samples", "3"],
+            ["audit", "--system", file_line2_sum, "--node", "0"],
+        ):
+            self.call(capsys, argv)
+        with pytest.raises(SystemExit):
+            main(["generic-check", "--structure", file_struct_line3, "--node", "1"])
+        assert len(calls) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+
+class TestEntryPoint:
+    """``python -m ivpaudit.cli`` as a real process."""
+
+    SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+    def run(self, *argv):
+        env = dict(os.environ, PYTHONPATH=self.SRC)
+        return subprocess.run(
+            [sys.executable, "-m", "ivpaudit.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_valid_audit(self, file_line2_sum):
+        proc = self.run("audit", "--system", file_line2_sum, "--node", "1,2")
+        assert proc.returncode == 0, proc.stderr
+        schema = json.loads((files("ivpaudit") / "schemas" / "audit.json").read_text())
+        jsonschema.validate(json.loads(proc.stdout), schema)
+
+    def test_invalid_input_exits_2(self, tmp_path):
+        path = write_system_file(tmp_path, "bad.json", {"n": 2, "m": 1, "A": [[1]], "C": [[1]]})
+        proc = self.run("audit", "--system", path)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ")
+
+    def test_missing_required_flag_exits_2(self):
+        proc = self.run("audit")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("usage: ivpaudit audit")
+        assert "the following arguments are required: --system" in proc.stderr

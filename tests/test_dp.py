@@ -317,6 +317,19 @@ class TestCheckDp:
         assert verdict.lhs == sigma_omega**2
         assert 0.0 < delta_min(system, 1.0, d=1.0, N=1, T=T) <= 1.0
 
+    @pytest.mark.parametrize("T", [12, 19])
+    def test_general_lhs_floored_on_unstable_system(self, T):
+        # Sigma = G I G^T with G G^T = H_T H_T^T + I, so lambda_min(Sigma) >= 1;
+        # the eigensolve alone returns -683.6 at T = 12 and -1.1e15 at T = 19.
+        base = unstable_iid()
+        side = base.n * T + base.m * (T + 1)
+        system = LinearSystem(
+            n=base.n, m=base.m, A=base.A, C=base.C, noise=NoiseModel.general(np.eye(side))
+        )
+        verdict = check_dp(system, DpBudget(epsilon=1, delta=0.05, d=1, N=1, T=T))
+        assert verdict.lhs == 1.0
+        assert 0.0 < delta_min(system, 1.0, d=1.0, N=1, T=T) <= 1.0
+
     def test_general_noise_standard_path(self):
         # Joint covariance reproducing iid sigma_nu=1, sigma_omega=1 at T=1.
         base = make_iid([[0, 1], [0, -1]], [[1, 0]], 1.0, 1.0)
