@@ -161,21 +161,25 @@ def cmd_generic_index(args) -> dict:
 def cmd_attack(args) -> dict:
     system = require_lti(load_system(args.system))
     x0 = _parse_vector(args.x0)
+    adjacent = None
+    if args.empirical_dp:
+        if not args.adjacent:
+            raise ValidationError("adjacent: --empirical-dp needs --adjacent 'x1,..;x2,..'")
+        adjacent = _parse_vectors(args.adjacent)
     batch = sim.simulate(system, x0, args.N, args.T, seed=args.seed)
     result = sim.mle_attack(system, batch)
     out = result.to_dict()
     out["N"] = batch.N
     out["T"] = batch.T
     out["seed"] = batch.seed
+    out["stream"] = sim.STREAM
     if args.save_batch:
         sim.batch_to_csv(batch, args.save_batch)
         out["batch_csv"] = args.save_batch
-    if args.empirical_dp:
-        if not args.adjacent:
-            raise ValidationError("adjacent: --empirical-dp needs --adjacent 'x1,..;x2,..'")
+    if adjacent is not None:
         report = sim.empirical_dp_report(
             system,
-            _parse_vectors(args.adjacent),
+            adjacent,
             args.runs,
             bins=args.bins,
             seed=args.seed,
@@ -200,6 +204,7 @@ def cmd_simulate(args) -> dict:
         "N": batch.N,
         "T": batch.T,
         "seed": batch.seed,
+        "stream": sim.STREAM,
         "y_mean": [float(v) for v in batch.Y.mean(axis=0)],
         "y_std": [float(v) for v in batch.Y.std(axis=0)],
     }

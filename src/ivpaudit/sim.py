@@ -6,10 +6,15 @@ observability map.  For identifiable systems this is the maximum-likelihood
 estimate of the initial value; for unobservable systems the minimum-norm
 solution is returned together with the unidentifiable directions.
 
-``simulate`` runs the recurrence over chunks of trajectories whose noise
-draws fit in ``CHUNK_BYTES`` and keeps only the outputs ``Y``.  A batch
-regenerates its noise draws from the seed when they are read, so memory
-grows with the outputs, not with the noise.
+Noise comes from the counter-based Philox generator in blocks of
+``STREAM_BLOCK`` trajectories: block b reads the seed's key at counter
+[0, 0, 0, b], so a trajectory's draws depend only on the seed and its index.
+``STREAM`` names this design; the ``simulate`` and ``attack`` commands
+report it as "stream".  ``simulate`` runs the recurrence over chunks that
+start on a block boundary and whose noise draws fit in ``CHUNK_BYTES``, and
+keeps only the outputs ``Y``.  A batch regenerates its noise draws from the
+seed when they are read, so memory grows with the outputs, not with the
+noise.
 
 The empirical probe compares per-coordinate output histograms between
 adjacent initial values and extracts the worst-case likelihood-ratio bound
@@ -45,11 +50,24 @@ __all__ = [
 #: Magnitude guard for simulated states.
 STATE_OVERFLOW_LIMIT = 1e150
 
+#: Trajectories per Philox counter: block b holds trajectories
+#: STREAM_BLOCK*b, ..., STREAM_BLOCK*b + STREAM_BLOCK - 1, drawn row after
+#: row by one ``standard_normal`` call at counter [0, 0, 0, b].
+STREAM_BLOCK = 8
+
+#: Name of the noise-stream design, reported as "stream" by the ``simulate``
+#: and ``attack`` commands.
+STREAM = f"philox4x64-block{STREAM_BLOCK}"
+
 #: Bytes of noise draws per chunk of trajectories in ``simulate``: a chunk
 #: holds as many rows of n*T + m*(T+1) float64 draws as fit, rounded down to
-#: a multiple of 8 rows (at least 8), and the last chunk also takes the
-#: remainder, so ``simulate`` holds at most twice this in draws.
+#: a multiple of STREAM_BLOCK rows (at least one block), and the last chunk
+#: also takes the remainder, so ``simulate`` holds at most twice this in
+#: draws.
 CHUNK_BYTES = 4 * 2**20
+
+#: Trajectories converted to Python floats at a time by ``batch_to_csv``.
+CSV_ROWS = 4096
 
 #: Histogram cells enter ratio estimates only with at least this many samples.
 DEFAULT_MIN_COUNT = 10
@@ -68,10 +86,12 @@ class TrajectoryBatch:
     """N stacked output trajectories and the seed of the noise that produced them.
 
     Row i of ``Y`` is the stacked output of trajectory i and satisfies
-    Y[i] = O_T x0 + H_T V[i] + W[i] exactly.  The draws come from one Philox
-    generator re-keyed per trajectory to counter [0, 0, 0, i].  Only ``Y`` is
-    stored: ``V`` and ``W`` are regenerated from (system, N, T, seed) on first
-    read, bit for bit, then frozen and cached as column views of one array.
+    Y[i] = O_T x0 + H_T V[i] + W[i] exactly.  The draws come from the
+    ``STREAM`` design: trajectory i is row i mod ``STREAM_BLOCK`` of the
+    block that Philox draws at counter [0, 0, 0, i // STREAM_BLOCK].  Only
+    ``Y`` is stored: ``V`` and ``W`` are regenerated from (system, N, T,
+    seed) on first read, bit for bit, then frozen and cached as column views
+    of one array.
     """
 
     x0: np.ndarray
@@ -153,15 +173,17 @@ def _general_factor(sys: LinearSystem, T: int) -> np.ndarray | None:
 def _draw_noise(
     sys: LinearSystem, N: int, T: int, seed: int, start: int, L: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Noise of trajectories start, ..., start + N - 1 from streams keyed by (seed, index).
+    """Noise of trajectories start, ..., start + N - 1 from streams keyed by (seed, block).
 
-    Trajectory i reads the Philox stream with the seed's key and counter
-    [0, 0, 0, i], so its draws do not depend on N, ``start`` or how a batch
-    is split into chunks.  One generator is re-keyed per trajectory by
-    resetting its counter and buffer, and each row of a single draw array
-    receives that trajectory's normals; general noise multiplies each row by
+    Block b of ``STREAM_BLOCK`` trajectories reads the Philox stream with the
+    seed's key and counter [0, 0, 0, b], and one ``standard_normal`` call
+    fills its rows in order, so trajectory i is row i mod STREAM_BLOCK of
+    block i // STREAM_BLOCK and its draws do not depend on N, ``start`` or
+    how a batch is split into chunks.  Blocks cut by either end of the range
+    are drawn whole and then cut.  One generator is re-keyed per block by
+    resetting its counter and buffer; general noise multiplies each row by
     ``L`` (from ``_general_factor``).  ``V`` and ``W`` are column views of
-    that array.
+    one draw array.
     """
     n, m = sys.n, sys.m
     len_v = n * T
@@ -181,12 +203,16 @@ def _draw_noise(
         "has_uint32": 0,
         "uinteger": 0,
     }
-    Z = np.empty((N, len_v + len_w))
-    for i in range(N):
-        counter[3] = start + i
+    first, skip = divmod(start, STREAM_BLOCK)
+    blocks = -(-(skip + N) // STREAM_BLOCK)
+    Z = np.empty((blocks, STREAM_BLOCK, len_v + len_w))
+    for b in range(blocks):
+        counter[3] = first + b
         bitgen.state = state
-        g.standard_normal(out=Z[i])
-        if L is not None:
+        g.standard_normal(out=Z[b])
+    Z = Z.reshape(blocks * STREAM_BLOCK, -1)[skip:skip + N]
+    if L is not None:
+        for i in range(N):
             Z[i] = L @ Z[i]
     if noise.kind == "iid":
         Z[:, :len_v] *= noise.sigma_nu
@@ -200,8 +226,9 @@ def simulate(
     """Simulate N output trajectories of length T+1 from initial value x0.
 
     Trajectories run in chunks sized by ``CHUNK_BYTES``, and each chunk
-    draws its own rows of the streams.  Chunks hold a multiple of 8 rows and
-    the last one also takes the remainder, because BLAS rounds a one-row
+    draws its own blocks of the streams.  Chunks hold a multiple of
+    ``STREAM_BLOCK`` rows and the last one also takes the remainder, so every
+    chunk starts on a block boundary, and because BLAS rounds a one-row
     product, and the trailing rows of a matrix-vector product, differently
     from the same rows inside a larger product.  A BLAS with a separate
     small-matrix kernel (OpenBLAS on AVX-512) can still change a chunk's
@@ -221,7 +248,8 @@ def simulate(
 
     n, m = sys.n, sys.m
     L = _general_factor(sys, T)
-    rows = max(8, CHUNK_BYTES // (8 * (n * T + m * (T + 1))) // 8 * 8)
+    row_bytes = 8 * (n * T + m * (T + 1))
+    rows = max(STREAM_BLOCK, CHUNK_BYTES // row_bytes // STREAM_BLOCK * STREAM_BLOCK)
     stops = list(range(rows, N - rows + 1, rows)) + [N]
     Y = np.empty((N, m * (T + 1)))
     first_bad = None  # earliest step at which some state left the guard
@@ -469,12 +497,18 @@ def empirical_dp_report(
 
 
 def batch_to_csv(batch: TrajectoryBatch, path) -> None:
-    """One row per trajectory; columns are the stacked output coordinates."""
+    """One row per trajectory; columns are the stacked output coordinates.
+
+    ``csv`` writes each float as its ``repr``, the shortest string that reads
+    back to the same value.  Rows are converted ``CSV_ROWS`` at a time, so
+    the Python floats in flight stay bounded whatever N is.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trajectory"] + [f"y{r}" for r in range(batch.Y.shape[1])])
-        for i in range(batch.N):
-            writer.writerow([i] + [repr(float(v)) for v in batch.Y[i]])
+        for lo in range(0, batch.N, CSV_ROWS):
+            rows = batch.Y[lo:lo + CSV_ROWS].tolist()
+            writer.writerows([i, *row] for i, row in enumerate(rows, lo))
 
 
 def report_to_csv(report: EmpiricalDpReport, path) -> None:
@@ -483,8 +517,9 @@ def report_to_csv(report: EmpiricalDpReport, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["coord", "bin_left", "bin_right", "x0_index", "count"])
         for r, (edges, counts) in enumerate(zip(report.bin_edges, report.counts)):
-            for j in range(counts.shape[0]):
-                for b in range(len(edges) - 1):
-                    writer.writerow(
-                        [r, repr(float(edges[b])), repr(float(edges[b + 1])), j, int(counts[j, b])]
-                    )
+            edges = edges.tolist()
+            for j, row in enumerate(counts.tolist()):
+                writer.writerows(
+                    [r, left, right, j, count]
+                    for left, right, count in zip(edges, edges[1:], row)
+                )

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ivpaudit
-from ivpaudit import cli, generic, intrinsic, load_structure, load_system, obsv
+from ivpaudit import cli, generic, intrinsic, load_structure, load_system, obsv, sim
 from ivpaudit.cli import main
 from conftest import write_system_file
 
@@ -437,6 +437,38 @@ class TestAttack:
         )
         assert code == 2
         assert "adjacent" in err
+
+
+    @pytest.mark.parametrize("adjacent", [None, "1,x;2,3", ";"], ids=["missing", "unparsable", "empty"])
+    def test_bad_adjacent_exits_before_simulating(
+        self, capsys, monkeypatch, file_line2_first, tmp_path, adjacent
+    ):
+        calls = []
+        simulate = sim.simulate
+        monkeypatch.setattr(sim, "simulate", lambda *a, **k: calls.append(a) or simulate(*a, **k))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        argv = [
+            "attack", "--system", file_line2_first, "--x0", "2,1", "--N", "10", "--seed", "4",
+            "--save-batch", str(out_dir / "batch.csv"), "--empirical-dp",
+            "--hist-csv", str(out_dir / "hist.csv"),
+        ]
+        if adjacent is not None:
+            argv.append("--adjacent=" + adjacent)
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert len(calls) == 0
+        assert list(out_dir.iterdir()) == []
+
+
+def test_release_outputs_name_the_stream(capsys, file_line2_first):
+    for command in ("simulate", "attack"):
+        payload = run_json(
+            capsys,
+            [command, "--system", file_line2_first, "--x0", "2,1", "--N", "3", "--seed", "1"],
+            command,
+        )
+        assert payload["stream"] == sim.STREAM
 
 
 class TestSimulate:

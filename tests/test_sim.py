@@ -1,6 +1,7 @@
 """Trajectory simulation, the averaging attack, and empirical privacy loss."""
 
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -107,13 +108,36 @@ class TestSimulate:
             simulate(system, [1.0], N=1, T=400, seed=0)
 
 
-def reference_normals(seed: int, N: int, length: int) -> np.ndarray:
-    """Row i: the first ``length`` normals of a fresh Philox stream at counter [0, 0, 0, i]."""
+#: Trajectories per Philox counter in the pinned stream design.
+BLOCK = 8
+
+
+def reference_normals(seed: int, N: int, length: int, start: int = 0) -> np.ndarray:
+    """Rows of trajectories start, ..., start + N - 1 of the block stream.
+
+    Block b is ``BLOCK`` rows of ``length`` normals from a fresh Philox stream
+    with the seed's key at counter [0, 0, 0, b]; trajectory i is row i mod
+    BLOCK of block i // BLOCK.
+    """
     key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-    return np.array([
-        np.random.Generator(np.random.Philox(counter=[0, 0, 0, i], key=key)).standard_normal(length)
-        for i in range(N)
-    ])
+    blocks = {}
+    rows = []
+    for i in range(start, start + N):
+        b = i // BLOCK
+        if b not in blocks:
+            philox = np.random.Philox(counter=[0, 0, 0, b], key=key)
+            blocks[b] = np.random.Generator(philox).standard_normal((BLOCK, length))
+        rows.append(blocks[b][i % BLOCK])
+    return np.array(rows)
+
+
+#: (seed, block, first draws of the block) under the "philox4x64-block8" stream.
+PINNED_DRAWS = [
+    (0, 0, [-0.2059740286292238, -0.12884495093462758, -0.28978987549091256,
+             -1.271943284573895, -1.4064349008284343]),
+    (2**40 + 3, 5, [0.3298620768952171, 1.6331585680003693, 0.0857731824573113,
+                    0.27480323328507245, 1.5275580201628824]),
+]
 
 
 def general_noise_system(T: int) -> LinearSystem:
@@ -131,7 +155,21 @@ def general_noise_system(T: int) -> LinearSystem:
 
 
 class TestNoiseStream:
-    """Trajectory i reads the Philox stream with key from the seed and counter [0, 0, 0, i]."""
+    """Trajectory i is row i mod 8 of the Philox block at counter [0, 0, 0, i // 8]."""
+
+    def test_stream_pinned_to_literal_draws(self):
+        # The first draws of two (seed, block) pairs, as numpy's Philox and
+        # ziggurat give them: a change to either, or to the stream design,
+        # fails here.  n = m = 1 and T = 1 give rows of 3 unit normals.
+        assert sim.STREAM == "philox4x64-block8"
+        system = LinearSystem(n=1, m=1, A=[[0.5]], C=[[1.0]], noise=NoiseModel.iid(1.0, 1.0))
+        for seed, block, want in PINNED_DRAWS:
+            batch = simulate(system, [0.0], N=BLOCK * block + 2, T=1, seed=seed)
+            rows = np.hstack([batch.V, batch.W])[BLOCK * block:]
+            np.testing.assert_array_equal(rows.ravel()[:len(want)], want)
+            np.testing.assert_array_equal(
+                reference_normals(seed, 2, 3, BLOCK * block).ravel()[:len(want)], want
+            )
 
     @pytest.mark.parametrize("T", [0, 1, 4])
     @pytest.mark.parametrize("seed", [0, 12345, 2**63 + 977])
@@ -145,6 +183,30 @@ class TestNoiseStream:
         assert batch.V.shape == (N, n * T)
         np.testing.assert_array_equal(batch.V, 0.7 * Z[:, :n * T])
         np.testing.assert_array_equal(batch.W, 1.3 * Z[:, n * T:])
+
+    @pytest.mark.parametrize("N", [5, 13])
+    def test_partial_last_block_cut_from_whole_block(self, N):
+        # The last block is drawn whole and cut, so the rows a short batch
+        # keeps are those of a batch that fills the block.
+        system = iid_noise_system()
+        batch = simulate(system, np.ones(3), N=N, T=2, seed=77)
+        full = simulate(system, np.ones(3), N=16, T=2, seed=77)
+        Z = reference_normals(77, N, 3 * 2 + 2 * 3)
+        np.testing.assert_array_equal(batch.V, 0.7 * Z[:, :6])
+        np.testing.assert_array_equal(batch.W, 1.3 * Z[:, 6:])
+        np.testing.assert_array_equal(batch.V, full.V[:N])
+        np.testing.assert_array_equal(batch.Y, full.Y[:N])
+
+    @pytest.mark.parametrize("start, N", [(16, 8), (16, 11), (8, 3), (11, 9)])
+    def test_draws_from_a_later_start(self, start, N):
+        # A chunk starting on a block boundary reads its blocks' counters
+        # directly; an unaligned start cuts the first block.
+        system = iid_noise_system()
+        T, seed = 1, 2**40 + 3
+        V, W = sim._draw_noise(system, N, T, seed, start, None)
+        Z = reference_normals(seed, N, 3 * T + 2 * (T + 1), start)
+        np.testing.assert_array_equal(V, 0.7 * Z[:, :3 * T])
+        np.testing.assert_array_equal(W, 1.3 * Z[:, 3 * T:])
 
     @pytest.mark.parametrize("T", [0, 2])
     def test_general_draws_match_reference_streams(self, T):
@@ -252,14 +314,14 @@ class TestChunks:
         assert len(calls) == 5 and len(factored) == 1
 
     def test_state_guard_reports_earliest_step_across_chunks(self, monkeypatch):
-        # At seed 3 the first chunk's states pass the guard at step 152 and
+        # At seed 4 the first chunk's states pass the guard at step 152 and
         # a later chunk's at step 151.
         system = LinearSystem(n=1, m=1, A=[[10.0]], C=[[1.0]], noise=NoiseModel.iid(1.0, 0.0))
         chunk_rows(monkeypatch, system, 400, 8)
         with pytest.raises(ConditioningError, match="at step 151$"):
-            simulate(system, [0.0], N=24, T=400, seed=3)
+            simulate(system, [0.0], N=24, T=400, seed=4)
         with pytest.raises(ConditioningError, match="at step 152$"):
-            simulate(system, [0.0], N=8, T=400, seed=3)
+            simulate(system, [0.0], N=8, T=400, seed=4)
 
     def test_peak_memory_is_outputs_plus_a_few_chunks(self, monkeypatch, sys_line2_first):
         monkeypatch.setattr(sim, "CHUNK_BYTES", 2**16)
@@ -465,3 +527,41 @@ class TestCsvExports:
         assert len(rows) == 1 + 2 * 2 * 10
         total = sum(int(r[4]) for r in rows[1:])
         assert total == 2 * 2 * 200
+
+    def test_exports_byte_identical_to_repr_formatting(self, monkeypatch, sys_line2_first, tmp_path):
+        # Each float written as repr(float(v)), row by row: the format the
+        # exports have always had.  Signed zeros, subnormals and 17-digit
+        # values must come out the same, across CSV_ROWS boundaries too.
+        monkeypatch.setattr(sim, "CSV_ROWS", 2)
+        awkward = [-0.0, 5e-324, 2.2250738585072009e-308, 0.30000000000000004, 1 / 3,
+                   -1.2345678901234567e-300, 1e16, 123456789.12345679, 0.0, -2.5]
+        Y = np.array(awkward).reshape(5, 2)
+        batch = sim.TrajectoryBatch(x0=np.zeros(2), N=5, T=1, Y=Y, seed=0, system=sys_line2_first)
+        report = empirical_dp_report(
+            sys_line2_first, [[2.0, 1.0], [2.1, 1.0]], N_runs=50, bins=2, seed=3
+        )
+        edges = np.array(awkward[:3])
+        report = dataclasses.replace(
+            report, bin_edges=(edges, np.array(awkward[3:6])),
+            counts=(np.array([[1, 2], [3, 4]]), np.array([[0, 7], [9, 0]])),
+        )
+
+        def legacy(path, header, rows):
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                for row in rows:
+                    writer.writerow(row)
+
+        legacy(tmp_path / "batch_ref.csv", ["trajectory", "y0", "y1"],
+               ([i] + [repr(float(v)) for v in Y[i]] for i in range(5)))
+        legacy(tmp_path / "hist_ref.csv", ["coord", "bin_left", "bin_right", "x0_index", "count"],
+               ([r, repr(float(e[b])), repr(float(e[b + 1])), j, int(c[j, b])]
+                for r, (e, c) in enumerate(zip(report.bin_edges, report.counts))
+                for j in range(c.shape[0]) for b in range(len(e) - 1)))
+        batch_to_csv(batch, tmp_path / "batch.csv")
+        report_to_csv(report, tmp_path / "hist.csv")
+        for name in ("batch", "hist"):
+            got = (tmp_path / f"{name}.csv").read_bytes()
+            assert got == (tmp_path / f"{name}_ref.csv").read_bytes()
+        assert b"-0.0," in (tmp_path / "batch.csv").read_bytes()
