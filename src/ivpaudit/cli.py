@@ -161,11 +161,21 @@ def cmd_generic_index(args) -> dict:
 def cmd_attack(args) -> dict:
     system = require_lti(load_system(args.system))
     x0 = _parse_vector(args.x0)
-    adjacent = None
+    report = None
     if args.empirical_dp:
         if not args.adjacent:
             raise ValidationError("adjacent: --empirical-dp needs --adjacent 'x1,..;x2,..'")
-        adjacent = _parse_vectors(args.adjacent)
+        # The probe checks its counts, bins, delta and horizon before it
+        # simulates, so it runs first: a bad one exits 2 before any draw.
+        report = sim.empirical_dp_report(
+            system,
+            _parse_vectors(args.adjacent),
+            args.runs,
+            bins=args.bins,
+            seed=args.seed,
+            delta=args.dp_delta,
+            T=args.T,
+        )
     batch = sim.simulate(system, x0, args.N, args.T, seed=args.seed)
     result = sim.mle_attack(system, batch)
     out = result.to_dict()
@@ -176,16 +186,7 @@ def cmd_attack(args) -> dict:
     if args.save_batch:
         sim.batch_to_csv(batch, args.save_batch)
         out["batch_csv"] = args.save_batch
-    if adjacent is not None:
-        report = sim.empirical_dp_report(
-            system,
-            adjacent,
-            args.runs,
-            bins=args.bins,
-            seed=args.seed,
-            delta=args.dp_delta,
-            T=args.T,
-        )
+    if report is not None:
         payload = report.to_dict()
         if args.hist_csv:
             sim.report_to_csv(report, args.hist_csv)

@@ -2,9 +2,15 @@
 
 The eavesdropper model: observe N full output trajectories released by the
 system, average them, and run generalized least squares against the stacked
-observability map.  For identifiable systems this is the maximum-likelihood
+observability map.  Identifiability and the unidentifiable directions come
+from one ``obsv.null_basis`` of O_T's first min(T+1, n) block rows, the O_ob
+that ``audit`` ranks when T >= n-1, so ``attack`` and ``audit`` at its
+default cutoff cannot disagree on one system file.  For identifiable systems
+with an invertible noise covariance the estimate is the maximum-likelihood
 estimate of the initial value; for unobservable systems the minimum-norm
 solution is returned together with the unidentifiable directions.
+Zero-variance output directions are weighted like the least noisy one, not
+enforced exactly.
 
 Noise comes from the counter-based Philox generator in blocks of
 ``STREAM_BLOCK`` trajectories: block b reads the seed's key at counter
@@ -278,9 +284,13 @@ def simulate(
 def mle_attack(sys: LinearSystem, batch: TrajectoryBatch) -> AttackResult:
     """Generalized least squares on the trajectory-averaged stacked output.
 
-    Directions of the output space with zero noise variance are treated as
-    exact linear constraints, so purely deterministic releases (including the
-    zero-noise case) are inverted rather than rejected.
+    One ``null_basis`` of O_T's first min(T+1, n) block rows (the O_ob that
+    ``audit`` ranks when T >= n-1) gives ``identifiable`` and ``null_space``.
+    ``x0_hat`` solves the whitened least squares over the kernel's observable
+    complement, so it is orthogonal to ``null_space``.  Output directions of
+    zero noise variance get the least noisy direction's weight (at least 1),
+    not exact constraints: a zero-noise release is inverted, but a partly
+    noise-free one is not fitted exactly on its noise-free part.
     """
     require_lti(sys)
     O_T = np.vstack(_output_power_blocks(sys.A, sys.C, batch.T + 1))
@@ -289,26 +299,20 @@ def mle_attack(sys: LinearSystem, batch: TrajectoryBatch) -> AttackResult:
 
     lam, U = np.linalg.eigh(sigma)
     noisy = lam > rank_tolerance(sigma, max(float(lam[-1]), 0.0))
-    weights = np.empty_like(lam)
-    if np.any(noisy):
-        weights[noisy] = 1.0 / np.sqrt(lam[noisy])
-        weights[~noisy] = max(1.0, float(weights[noisy].max()))
-    else:
-        weights[:] = 1.0
+    weights = np.ones_like(lam)
+    weights[noisy] = 1.0 / np.sqrt(lam[noisy])
+    weights[~noisy] = weights.max()
     whitener = weights[:, None] * U.T
-    G = whitener @ O_T
-    G_pinv = np.linalg.pinv(G)
-    x0_hat = G_pinv @ (whitener @ ybar)
-    estimator = G_pinv @ whitener
-    covariance = estimator @ sigma @ estimator.T / batch.N
+    kern = null_basis(O_T[: sys.m * sys.n])
+    Q = np.linalg.qr(kern.N, mode="complete")[0][:, kern.N.shape[1]:]
+    Q_G, R_G = np.linalg.qr(whitener @ O_T @ Q)
+    estimator = Q @ np.linalg.solve(R_G, Q_G.T @ whitener)
+    x0_hat = estimator @ ybar
     residual = float(np.linalg.norm(ybar - O_T @ x0_hat))
 
-    kern = null_basis(O_T)
     identifiable = kern.rank == sys.n
-    null_space = None
-    if not identifiable:
-        null_space = kern.N.copy()
-        covariance = None
+    covariance = estimator @ sigma @ estimator.T / batch.N if identifiable else None
+    null_space = None if identifiable else kern.N.copy()
     for arr in (x0_hat,) + ((covariance,) if covariance is not None else ()):
         arr.flags.writeable = False
     return AttackResult(
@@ -396,9 +400,11 @@ def empirical_dp_report(
 ) -> EmpiricalDpReport:
     """Simulate each initial value and compare output histograms pairwise.
 
-    ``bins`` overrides the Freedman-Diaconis bin count; edges are shared
-    across initial values per coordinate (pooled data).  When ``d`` (> 0) is
-    given, all pairs are checked to be within the adjacency radius.
+    ``bins`` overrides the Freedman-Diaconis bin count and is at most the
+    pooled sample count len(x0_list) * N_runs, since each coordinate holds
+    bins + 1 edges; edges are shared across initial values per coordinate
+    (pooled data).  When ``d`` (> 0) is given, all pairs are checked to be
+    within the adjacency radius.
     """
     require_lti(sys)
     x0s = [np.asarray(x, dtype=float).reshape(-1) for x in x0_list]
@@ -413,6 +419,10 @@ def empirical_dp_report(
         raise ValidationError(f"delta: must lie in [0, 0.5), got {delta!r}")
     min_count = integer(min_count, "min_count", 1)
     bins = "fd" if bins is None else integer(bins, "bins", 1)
+    if bins != "fd" and bins > len(x0s) * N_runs:
+        raise ValidationError(
+            f"bins: at most the pooled sample count {len(x0s) * N_runs}, got {bins}"
+        )
     seed = integer(seed, "seed", 0)
     T = sys.n - 1 if T is None else integer(T, "T", 0)
     if d is not None:

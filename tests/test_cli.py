@@ -460,6 +460,48 @@ class TestAttack:
         assert len(calls) == 0
         assert list(out_dir.iterdir()) == []
 
+    def test_bins_above_pooled_samples_exits_before_simulating(
+        self, capsys, monkeypatch, file_line2_first
+    ):
+        # 2 initial values x 10 runs = 20 samples: 21 cells cannot all be
+        # populated, and 1e9 would allocate gigabytes of edges per coordinate.
+        calls = []
+        simulate = sim.simulate
+        monkeypatch.setattr(sim, "simulate", lambda *a, **k: calls.append(a) or simulate(*a, **k))
+        for bins in ("21", "1000000000"):
+            code, out, err = run_cli(
+                capsys,
+                [
+                    "attack", "--system", file_line2_first, "--x0", "2,1", "--N", "10",
+                    "--seed", "4", "--empirical-dp", "--adjacent", "1.4,1.7;1.6,1.8",
+                    "--runs", "10", "--bins", bins,
+                ],
+            )
+            assert (code, out) == (2, "")
+            assert err.startswith("error: bins: ")
+        assert calls == []
+
+    def test_attack_and_audit_agree_on_dense_system(self, capsys, tmp_path):
+        # A dense n = 30 draw on which a separate SVD of O_T (T = 60) found a
+        # null direction that the audit's O_ob does not have.
+        n = 30
+        system = ivpaudit.LinearSystem(
+            n=n, m=1, A=np.random.default_rng(22).standard_normal((n, n)) / np.sqrt(n),
+            C=np.eye(1, n), noise=ivpaudit.NoiseModel.iid(1.0, 0.5),
+        )
+        path = str(tmp_path / "dense30.json")
+        ivpaudit.save_system(system, path)
+        audit = run_json(capsys, ["audit", "--system", path], "audit")
+        attack = run_json(
+            capsys,
+            ["attack", "--system", path, "--x0", ",".join(["1"] * n), "--T", "60",
+             "--N", "100", "--seed", "1"],
+            "attack",
+        )
+        assert audit["rank_Oob"] == n
+        assert attack["identifiable"] is True
+        assert attack["null_space"] is None
+
 
 def test_release_outputs_name_the_stream(capsys, file_line2_first):
     for command in ("simulate", "attack"):

@@ -23,10 +23,12 @@ from ivpaudit import (
     effective_covariance,
     empirical_dp_report,
     mle_attack,
+    privacy_index,
     report_to_csv,
     simulate,
 )
 from ivpaudit import sim
+from ivpaudit.obsv import null_basis
 from ivpaudit.sim import _noise_factor
 
 
@@ -418,6 +420,51 @@ class TestAttack:
         assert d["identifiable"] is False
         assert d["covariance_estimate"] == "non-identifiable"
         assert len(d["null_space"]) == 2
+
+    def test_short_horizon_reads_all_of_O_T(self):
+        # T = 0 < n - 1: O_T = C, so two directions orthogonal to C stay
+        # hidden and the estimate is the minimum-norm C^T ybar / |C|^2.
+        C = np.array([[1.0, 2.0, -1.0]])
+        system = LinearSystem(
+            n=3, m=1, A=np.random.default_rng(5).standard_normal((3, 3)), C=C,
+            noise=NoiseModel.iid(1.0, 0.5),
+        )
+        batch = simulate(system, [1.0, -1.0, 2.0], N=40, T=0, seed=6)
+        result = mle_attack(system, batch)
+        assert not result.identifiable
+        assert result.covariance_estimate is None
+        assert result.null_space.shape == (3, 2)
+        np.testing.assert_allclose(C @ result.null_space, 0.0, atol=1e-14)
+        want = C[0] * batch.Y.mean(axis=0)[0] / (C[0] @ C[0])
+        np.testing.assert_allclose(result.x0_hat, want, atol=1e-14)
+
+
+class TestAttackReadsAuditKernel:
+    """The attack's identifiability and null space are the audit's kernel of O_ob."""
+
+    @pytest.mark.parametrize("n, T", [(30, 60), (40, 80)])
+    def test_dense_systems_agree_with_audit(self, n, T):
+        # Dense A ~ N(0, 1/n) sensed at one state: at these sizes a separate
+        # SVD of O_T or a pinv of the whitened map ranks differently from
+        # O_ob on a few draws.  Identifiability does not depend on the draws,
+        # so a few trajectories suffice.
+        disagreements = []
+        for seed in range(40):
+            A = np.random.default_rng(seed).standard_normal((n, n)) / np.sqrt(n)
+            system = LinearSystem(
+                n=n, m=1, A=A, C=np.eye(1, n), noise=NoiseModel.iid(1.0, 0.5)
+            )
+            result = mle_attack(system, simulate(system, np.ones(n), N=8, T=T, seed=1))
+            N = null_basis(build_bundle(system).O_ob).N
+            null_space = np.zeros((n, 0)) if result.identifiable else result.null_space
+            x0_hat = result.x0_hat
+            if (
+                result.identifiable != (privacy_index(system).rank_Oob == n)
+                or not np.allclose(null_space @ null_space.T, N @ N.T, atol=1e-12)
+                or np.linalg.norm(null_space.T @ x0_hat) > 1e-12 * (1 + np.linalg.norm(x0_hat))
+            ):
+                disagreements.append(seed)
+        assert disagreements == []
 
 
 class TestEmpiricalDp:

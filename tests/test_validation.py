@@ -54,6 +54,10 @@ BAD_SCALARS = [
     pytest.param("T", lambda s, g: empirical_dp_report(s, ADJACENT, N_runs=10, T=1.5), id="probe-T-float"),
     pytest.param("d", lambda s, g: empirical_dp_report(s, ADJACENT, N_runs=10, d=np.nan), id="probe-d-nan"),
     pytest.param(
+        "bins", lambda s, g: empirical_dp_report(s, ADJACENT, N_runs=10, bins=21),
+        id="probe-bins-above-samples",
+    ),
+    pytest.param(
         "min_count", lambda s, g: empirical_dp_report(s, ADJACENT, N_runs=10, min_count=2.5),
         id="probe-min-count-float",
     ),
