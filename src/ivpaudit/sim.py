@@ -18,9 +18,12 @@ Noise comes from the counter-based Philox generator in blocks of
 ``STREAM`` names this design; the ``simulate`` and ``attack`` commands
 report it as "stream".  ``simulate`` runs the recurrence over chunks that
 start on a block boundary and whose noise draws fit in ``CHUNK_BYTES``, and
-keeps only the outputs ``Y``.  A batch regenerates its noise draws from the
-seed when they are read, so memory grows with the outputs, not with the
-noise.
+keeps only the outputs ``Y``.  Since a chunk's draws depend only on the seed
+and its trajectory indices, chunks run concurrently, on one thread per
+usable CPU and at most ``CHUNKS_IN_FLIGHT`` at once; there is nothing to
+set, and the results do not depend on the number of threads.  A batch
+regenerates its noise draws from the seed when they are read, so memory
+grows with the outputs, not with the noise.
 
 The empirical probe compares per-coordinate output histograms between
 adjacent initial values and extracts the worst-case likelihood-ratio bound
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -68,9 +72,16 @@ STREAM = f"philox4x64-block{STREAM_BLOCK}"
 #: Bytes of noise draws per chunk of trajectories in ``simulate``: a chunk
 #: holds as many rows of n*T + m*(T+1) float64 draws as fit, rounded down to
 #: a multiple of STREAM_BLOCK rows (at least one block), and the last chunk
-#: also takes the remainder, so ``simulate`` holds at most twice this in
-#: draws.
-CHUNK_BYTES = 4 * 2**20
+#: also takes the remainder.  1 MiB fits in one core's L2 cache, and at
+#: n = 8 it keeps a chunk's products under OpenBLAS's own threading
+#: threshold, so BLAS threads do not compete with ``simulate``'s.
+CHUNK_BYTES = 2**20
+
+#: Chunks that ``simulate`` runs at once, whatever the number of CPUs, so it
+#: holds at most 3 * CHUNK_BYTES of draws (the last chunk can be almost twice
+#: the others).  Each chunk in flight also holds two arrays of n states per
+#: trajectory, as many bytes as its draws when n = 2, m = 1 and T = 1.
+CHUNKS_IN_FLIGHT = 2
 
 #: Trajectories converted to Python floats at a time by ``batch_to_csv``.
 CSV_ROWS = 4096
@@ -226,21 +237,62 @@ def _draw_noise(
     return Z[:, :len_v], Z[:, len_v:]
 
 
+def _simulate_chunk(
+    sys: LinearSystem, x0: np.ndarray, Y: np.ndarray, start: int, stop: int,
+    T: int, seed: int, L: np.ndarray | None,
+) -> int | None:
+    """Run trajectories start, ..., stop - 1 into rows start:stop of ``Y``.
+
+    Draws the chunk's blocks with ``_draw_noise`` and returns the earliest
+    step at which one of its states exceeded ``STATE_OVERFLOW_LIMIT`` (the
+    recurrence stops there), or None.
+    """
+    n, m = sys.n, sys.m
+    V, W = _draw_noise(sys, stop - start, T, seed, start, L)
+    x = np.broadcast_to(x0, (stop - start, n)).copy()
+    for t in range(T + 1):
+        Y[start:stop, t * m:(t + 1) * m] = x @ sys.C.T + W[:, t * m:(t + 1) * m]
+        if t == T:
+            return None
+        x = x @ sys.A.T
+        x += V[:, t * n:(t + 1) * n]  # in place: two state arrays at a time, not three
+        peak = float(np.abs(x).max(initial=0.0))
+        if not np.isfinite(peak) or peak > STATE_OVERFLOW_LIMIT:
+            return t + 1
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def simulate(
     sys: LinearSystem, x0, N: int, T: int | None = None, seed: int = 0
 ) -> TrajectoryBatch:
     """Simulate N output trajectories of length T+1 from initial value x0.
 
-    Trajectories run in chunks sized by ``CHUNK_BYTES``, and each chunk
-    draws its own blocks of the streams.  Chunks hold a multiple of
-    ``STREAM_BLOCK`` rows and the last one also takes the remainder, so every
-    chunk starts on a block boundary, and because BLAS rounds a one-row
-    product, and the trailing rows of a matrix-vector product, differently
-    from the same rows inside a larger product.  A BLAS with a separate
-    small-matrix kernel (OpenBLAS on AVX-512) can still change a chunk's
-    ``Y`` in the last bit when n >= 32 and m > 1.  The state guard
-    reports the earliest step at which any trajectory's state exceeds
-    ``STATE_OVERFLOW_LIMIT``.
+    The batch is cut into chunks whose noise draws fit in ``CHUNK_BYTES``:
+    each holds a multiple of ``STREAM_BLOCK`` rows and the last one also
+    takes the remainder, so every chunk starts on a block boundary and the
+    cuts depend only on ``CHUNK_BYTES`` and the row size.  The rounding and
+    the merged remainder keep ``Y`` equal to a one-chunk run's: BLAS rounds
+    a one-row product, and the trailing rows of a matrix-vector product,
+    differently from the same rows inside a larger product.  Each chunk draws
+    its own blocks of the streams and runs its own recurrence.  A batch of
+    more than one chunk runs them on threads, one per usable CPU and at most
+    ``CHUNKS_IN_FLIGHT``, so at most that many chunks' draws are held at
+    once; a one-chunk batch, or one on a single usable CPU, runs in the
+    calling thread.  ``Y`` does not
+    depend on the number of threads, since each chunk computes the same
+    products whichever thread runs it.  It can still depend on the cuts: a
+    BLAS with a separate small-matrix kernel (OpenBLAS on AVX-512) rounds a
+    chunk's products differently in the last bit when n >= 32 and m > 1.
+
+    The state guard raises ``ConditioningError`` at the earliest step, over
+    all trajectories, at which a state exceeds ``STATE_OVERFLOW_LIMIT``;
+    step 0 is x0 itself.
     """
     require_lti(sys)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
@@ -254,26 +306,26 @@ def simulate(
 
     n, m = sys.n, sys.m
     L = _general_factor(sys, T)
+    if float(np.abs(x0).max()) > STATE_OVERFLOW_LIMIT:
+        raise ConditioningError(f"state magnitude exceeded {STATE_OVERFLOW_LIMIT:g} at step 0")
     row_bytes = 8 * (n * T + m * (T + 1))
     rows = max(STREAM_BLOCK, CHUNK_BYTES // row_bytes // STREAM_BLOCK * STREAM_BLOCK)
     stops = list(range(rows, N - rows + 1, rows)) + [N]
+    starts = [0] + stops[:-1]
     Y = np.empty((N, m * (T + 1)))
-    first_bad = None  # earliest step at which some state left the guard
-    for start, stop in zip([0] + stops[:-1], stops):
-        V, W = _draw_noise(sys, stop - start, T, seed, start, L)
-        x = np.broadcast_to(x0, (stop - start, n)).copy()
-        for t in range(T + 1):
-            Y[start:stop, t * m:(t + 1) * m] = x @ sys.C.T + W[:, t * m:(t + 1) * m]
-            if t == T or (first_bad is not None and t + 1 >= first_bad):
-                break
-            x = x @ sys.A.T + V[:, t * n:(t + 1) * n]
-            peak = float(np.abs(x).max(initial=0.0))
-            if not np.isfinite(peak) or peak > STATE_OVERFLOW_LIMIT:
-                first_bad = t + 1
-                break
-    if first_bad is not None:
+    run = functools.partial(_simulate_chunk, sys, x0, Y, T=T, seed=seed, L=L)
+    workers = min(_usable_cpus(), len(stops), CHUNKS_IN_FLIGHT)
+    if workers == 1:
+        steps = list(map(run, starts, stops))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            steps = list(pool.map(run, starts, stops))
+    bad = [k for k in steps if k is not None]
+    if bad:
         raise ConditioningError(
-            f"state magnitude exceeded {STATE_OVERFLOW_LIMIT:g} at step {first_bad}"
+            f"state magnitude exceeded {STATE_OVERFLOW_LIMIT:g} at step {min(bad)}"
         )
     Y.flags.writeable = False
     frozen_x0 = x0.copy()

@@ -571,6 +571,16 @@ def test_negative_seed_exits_2(capsys, file_line2_sum, file_struct_line3, argv):
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize("T", ["0", "2"])
+@pytest.mark.parametrize("command", ["simulate", "attack"])
+def test_initial_value_beyond_state_guard_exits_3(capsys, file_line2_sum, command, T):
+    argv = [command, "--system", file_line2_sum, "--x0=1e307,1e307", "--N", "3", "--T", T,
+            "--seed", "1"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err == "conditioning error: state magnitude exceeded 1e+150 at step 0\n"
+
+
 @pytest.mark.parametrize(
     "content, reason",
     [

@@ -1,5 +1,6 @@
 """Trajectory simulation, the averaging attack, and empirical privacy loss."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import os
@@ -108,6 +109,15 @@ class TestSimulate:
         system = LinearSystem(n=1, m=1, A=[[10.0]], C=[[1.0]])
         with pytest.raises(ConditioningError, match="magnitude"):
             simulate(system, [1.0], N=1, T=400, seed=0)
+
+    @pytest.mark.parametrize("T", [0, 1, 5])
+    def test_guard_checks_the_initial_value_as_step_0(self, sys_line2_first, T):
+        with pytest.raises(ConditioningError, match="at step 0$"):
+            simulate(sys_line2_first, [1e307, 1e307], N=3, T=T, seed=1)
+        with pytest.raises(ConditioningError, match="at step 0$"):
+            simulate(sys_line2_first, [0.0, 2 * sim.STATE_OVERFLOW_LIMIT], N=3, T=T, seed=1)
+        # The limit itself passes.
+        simulate(sys_line2_first, [0.0, sim.STATE_OVERFLOW_LIMIT], N=3, T=0, seed=1)
 
 
 #: Trajectories per Philox counter in the pinned stream design.
@@ -256,6 +266,25 @@ def count_draws(monkeypatch) -> list:
     return calls
 
 
+_ThreadPool = concurrent.futures.ThreadPoolExecutor
+
+
+def force_workers(monkeypatch, k: int) -> list:
+    """Give ``simulate`` k CPUs and k chunks in flight; returns the worker
+    count of every thread pool it starts."""
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: k)
+    monkeypatch.setattr(sim, "CHUNKS_IN_FLIGHT", k)
+    pools = []
+
+    class CountedPool(_ThreadPool):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+    return pools
+
+
 class TestChunks:
     """``simulate`` draws noise chunk by chunk and stores only ``Y``."""
 
@@ -268,8 +297,9 @@ class TestChunks:
         chunk_rows(monkeypatch, system, T, 8)
         calls = count_draws(monkeypatch)
         chunked = simulate(system, x0, N=N, T=T, seed=seed)
-        # Chunks of 8 rows; the last one takes the remainder.
-        assert calls == [(0, 8), (8, 8), (16, 8), (24, 13)]
+        # Chunks of 8 rows; the last one takes the remainder.  Chunks run
+        # concurrently, so the log is compared in order of start.
+        assert sorted(calls) == [(0, 8), (8, 8), (16, 8), (24, 13)]
         np.testing.assert_array_equal(chunked.Y, whole.Y)
 
         len_v = system.n * T
@@ -303,7 +333,7 @@ class TestChunks:
         batch = simulate(sys_line2_first, [2.0, 1.0], N=100, T=1, seed=6)
         mle_attack(sys_line2_first, batch)
         drawn = [i for start, rows in calls for i in range(start, start + rows)]
-        assert drawn == list(range(100))
+        assert sorted(drawn) == list(range(100))
 
     def test_general_noise_factored_once_per_call(self, monkeypatch):
         T = 2
@@ -320,13 +350,22 @@ class TestChunks:
         # a later chunk's at step 151.
         system = LinearSystem(n=1, m=1, A=[[10.0]], C=[[1.0]], noise=NoiseModel.iid(1.0, 0.0))
         chunk_rows(monkeypatch, system, 400, 8)
-        with pytest.raises(ConditioningError, match="at step 151$"):
-            simulate(system, [0.0], N=24, T=400, seed=4)
-        with pytest.raises(ConditioningError, match="at step 152$"):
-            simulate(system, [0.0], N=8, T=400, seed=4)
+        for workers in (1, 4):
+            force_workers(monkeypatch, workers)
+            with pytest.raises(ConditioningError, match="at step 151$"):
+                simulate(system, [0.0], N=24, T=400, seed=4)
+            with pytest.raises(ConditioningError, match="at step 152$"):
+                simulate(system, [0.0], N=8, T=400, seed=4)
 
-    def test_peak_memory_is_outputs_plus_a_few_chunks(self, monkeypatch, sys_line2_first):
+    @pytest.mark.parametrize("cpus", [None, 64], ids=["machine-cpus", "64-cpus"])
+    def test_peak_memory_is_outputs_plus_a_few_chunks(self, monkeypatch, sys_line2_first, cpus):
+        # CHUNKS_IN_FLIGHT holds the bound however many CPUs there are.
+        if cpus is not None:
+            monkeypatch.setattr(sim, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(sim, "CHUNK_BYTES", 2**16)
+        # The first simulation in a process imports modules (numpy.random's
+        # SeedSequence imports `secrets`), whose allocations are no batch's.
+        simulate(sys_line2_first, [2.0, 1.0], N=8, T=1, seed=0)
         tracemalloc.start()
         try:
             batch = simulate(sys_line2_first, [2.0, 1.0], N=200_000, T=1, seed=0)
@@ -334,6 +373,38 @@ class TestChunks:
         finally:
             tracemalloc.stop()
         assert peak < batch.Y.nbytes + 8 * sim.CHUNK_BYTES
+
+
+class TestWorkers:
+    """Chunks run on threads, and the thread count never shows in the results."""
+
+    @pytest.mark.parametrize("general", [False, True], ids=["iid", "general"])
+    def test_one_or_four_workers_give_identical_batches(self, monkeypatch, general):
+        T, N, seed = 2, 45, 2**40 + 3
+        system = general_noise_system(T) if general else iid_noise_system()
+        chunk_rows(monkeypatch, system, T, 8)  # five chunks: four of 8 rows, one of 13
+        batches, pools = {}, {}
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # let the threads interleave as often as they can
+        try:
+            for k in (1, 4):
+                pools[k] = force_workers(monkeypatch, k)
+                batches[k] = simulate(system, np.array([2.0, 1.0, -1.0]), N=N, T=T, seed=seed)
+        finally:
+            sys.setswitchinterval(switch)
+        assert pools == {1: [], 4: [4]}
+        for name in ("Y", "V", "W"):
+            np.testing.assert_array_equal(getattr(batches[1], name), getattr(batches[4], name))
+
+    def test_one_chunk_batch_starts_no_thread(self, monkeypatch, sys_line2_first):
+        force_workers(monkeypatch, 4)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-chunk batch started a thread pool")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        batch = simulate(sys_line2_first, [2.0, 1.0], N=1000, seed=3)
+        assert batch.Y.shape == (1000, 2)
 
 
 def test_import_does_not_load_scipy_stats():
@@ -349,9 +420,10 @@ def test_import_does_not_load_scipy_stats():
 def test_import_does_not_load_scipy():
     src = os.path.dirname(os.path.dirname(ivpaudit.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # concurrent.futures too: only a simulation of more than one chunk needs it.
     code = (
         "import sys, ivpaudit, ivpaudit.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
