@@ -12,14 +12,15 @@ solution is returned together with the unidentifiable directions.
 Zero-variance output directions are weighted like the least noisy one, not
 enforced exactly.
 
-Noise comes from the counter-based Philox generator in blocks of
-``STREAM_BLOCK`` trajectories: block b reads the seed's key at counter
-[0, 0, 0, b], so a trajectory's draws depend only on the seed and its index.
-``STREAM`` names this design; the ``simulate`` and ``attack`` commands
-report it as "stream".  ``simulate`` runs the recurrence over chunks that
-start on a block boundary and whose noise draws fit in ``CHUNK_BYTES``, and
-keeps only the outputs ``Y``.  Since a chunk's draws depend only on the seed
-and its trajectory indices, chunks run concurrently, on one thread per
+Noise comes from the counter-based Philox generator as one flat sequence of
+unit normals per seed, in blocks of ``STREAM_BLOCK`` normals: block b reads
+the seed's key at counter [0, 0, 0, b], and trajectory i takes the side =
+n*T + m*(T+1) normals that follow i*side, so its draws depend only on the
+seed, its index and side.  ``STREAM`` names this design; the ``simulate``
+and ``attack`` commands report it as "stream".  ``simulate`` runs the
+recurrence over chunks whose noise draws and states fit in ``CHUNK_BYTES``,
+and keeps only the outputs ``Y``.  Since a chunk's draws depend only on the
+seed and its trajectory indices, chunks run concurrently, on one thread per
 usable CPU and at most ``CHUNKS_IN_FLIGHT`` at once; there is nothing to
 set, and the results do not depend on the number of threads.  A batch
 regenerates its noise draws from the seed when they are read, so memory
@@ -60,27 +61,33 @@ __all__ = [
 #: Magnitude guard for simulated states.
 STATE_OVERFLOW_LIMIT = 1e150
 
-#: Trajectories per Philox counter: block b holds trajectories
-#: STREAM_BLOCK*b, ..., STREAM_BLOCK*b + STREAM_BLOCK - 1, drawn row after
-#: row by one ``standard_normal`` call at counter [0, 0, 0, b].
-STREAM_BLOCK = 8
+#: Unit normals per Philox counter: block b holds normals STREAM_BLOCK*b, ...,
+#: STREAM_BLOCK*b + STREAM_BLOCK - 1 of a seed's flat sequence, drawn by one
+#: ``standard_normal`` call at counter [0, 0, 0, b].
+STREAM_BLOCK = 4096
 
 #: Name of the noise-stream design, reported as "stream" by the ``simulate``
 #: and ``attack`` commands.
-STREAM = f"philox4x64-block{STREAM_BLOCK}"
+STREAM = f"philox4x64-normals{STREAM_BLOCK}"
 
-#: Bytes of noise draws per chunk of trajectories in ``simulate``: a chunk
-#: holds as many rows of n*T + m*(T+1) float64 draws as fit, rounded down to
-#: a multiple of STREAM_BLOCK rows (at least one block), and the last chunk
-#: also takes the remainder.  1 MiB fits in one core's L2 cache, and at
-#: n = 8 it keeps a chunk's products under OpenBLAS's own threading
-#: threshold, so BLAS threads do not compete with ``simulate``'s.
+#: Bytes per chunk of trajectories in ``simulate``: a chunk holds as many rows
+#: as fit, at 8 * (n*T + m*(T+1) + 2*n) bytes per row for its float64 draws
+#: and its two state arrays, rounded down to a multiple of CHUNK_ROW_MULTIPLE
+#: rows (at least one multiple), and the last chunk also takes the remainder.
+#: 1 MiB fits in one core's L2 cache, and at n = 8 it keeps a chunk's
+#: products under OpenBLAS's own threading threshold, so BLAS threads do not
+#: compete with ``simulate``'s.
 CHUNK_BYTES = 2**20
 
+#: Chunk rows are a multiple of this many trajectories, so no chunk's
+#: products are one-row or short-tailed ones that BLAS rounds differently
+#: from the same rows inside a larger product.
+CHUNK_ROW_MULTIPLE = 8
+
 #: Chunks that ``simulate`` runs at once, whatever the number of CPUs, so it
-#: holds at most 3 * CHUNK_BYTES of draws (the last chunk can be almost twice
-#: the others).  Each chunk in flight also holds two arrays of n states per
-#: trajectory, as many bytes as its draws when n = 2, m = 1 and T = 1.
+#: holds at most 3 * CHUNK_BYTES of draws and states (the last chunk can be
+#: almost twice the others); general noise briefly holds a second copy of a
+#: chunk's draws.
 CHUNKS_IN_FLIGHT = 2
 
 #: Trajectories converted to Python floats at a time by ``batch_to_csv``.
@@ -104,11 +111,11 @@ class TrajectoryBatch:
 
     Row i of ``Y`` is the stacked output of trajectory i and satisfies
     Y[i] = O_T x0 + H_T V[i] + W[i] exactly.  The draws come from the
-    ``STREAM`` design: trajectory i is row i mod ``STREAM_BLOCK`` of the
-    block that Philox draws at counter [0, 0, 0, i // STREAM_BLOCK].  Only
-    ``Y`` is stored: ``V`` and ``W`` are regenerated from (system, N, T,
-    seed) on first read, bit for bit, then frozen and cached as column views
-    of one array.
+    ``STREAM`` design: trajectory i reads normals i*side, ..., (i+1)*side - 1
+    of the seed's flat sequence, side = n*T + m*(T+1).  Only ``Y`` is
+    stored: ``V`` and ``W`` are regenerated from (system, N, T, seed) on
+    first read, bit for bit, then frozen and cached as column views of one
+    array.
     """
 
     x0: np.ndarray
@@ -190,21 +197,22 @@ def _general_factor(sys: LinearSystem, T: int) -> np.ndarray | None:
 def _draw_noise(
     sys: LinearSystem, N: int, T: int, seed: int, start: int, L: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Noise of trajectories start, ..., start + N - 1 from streams keyed by (seed, block).
+    """Noise of trajectories start, ..., start + N - 1 from the seed's flat normal sequence.
 
-    Block b of ``STREAM_BLOCK`` trajectories reads the Philox stream with the
-    seed's key and counter [0, 0, 0, b], and one ``standard_normal`` call
-    fills its rows in order, so trajectory i is row i mod STREAM_BLOCK of
-    block i // STREAM_BLOCK and its draws do not depend on N, ``start`` or
-    how a batch is split into chunks.  Blocks cut by either end of the range
-    are drawn whole and then cut.  One generator is re-keyed per block by
-    resetting its counter and buffer; general noise multiplies each row by
-    ``L`` (from ``_general_factor``).  ``V`` and ``W`` are column views of
-    one draw array.
+    Block b of the sequence is ``STREAM_BLOCK`` normals read from the Philox
+    stream with the seed's key and counter [0, 0, 0, b].  Trajectory i takes
+    normals i*side, ..., (i+1)*side - 1, side = n*T + m*(T+1), so its draws
+    do not depend on N, ``start`` or how a batch is split into chunks.  The
+    blocks that cover the range are drawn whole and then cut, so a block
+    that two chunks share is drawn by both.  One generator is re-keyed per
+    block by resetting its counter and buffer.  General noise multiplies the
+    rows by ``L`` (from ``_general_factor``) in one ``einsum``, whose rows
+    do not depend on how the batch is sliced.  ``V`` and ``W`` are column
+    views of one draw array.
     """
     n, m = sys.n, sys.m
     len_v = n * T
-    len_w = m * (T + 1)
+    side = len_v + m * (T + 1)
     noise = sys.noise
     key = np.random.SeedSequence(entropy=seed).generate_state(2, np.uint64)
     bitgen = np.random.Philox(key=key)
@@ -220,17 +228,16 @@ def _draw_noise(
         "has_uint32": 0,
         "uinteger": 0,
     }
-    first, skip = divmod(start, STREAM_BLOCK)
-    blocks = -(-(skip + N) // STREAM_BLOCK)
-    Z = np.empty((blocks, STREAM_BLOCK, len_v + len_w))
+    first, skip = divmod(start * side, STREAM_BLOCK)
+    blocks = -(-(skip + N * side) // STREAM_BLOCK)
+    flat = np.empty((blocks, STREAM_BLOCK))
     for b in range(blocks):
         counter[3] = first + b
         bitgen.state = state
-        g.standard_normal(out=Z[b])
-    Z = Z.reshape(blocks * STREAM_BLOCK, -1)[skip:skip + N]
+        g.standard_normal(out=flat[b])
+    Z = flat.reshape(-1)[skip:skip + N * side].reshape(N, side)
     if L is not None:
-        for i in range(N):
-            Z[i] = L @ Z[i]
+        Z = np.einsum("ij,kj->ik", Z, L, optimize=False)
     if noise.kind == "iid":
         Z[:, :len_v] *= noise.sigma_nu
         Z[:, len_v:] *= noise.sigma_omega
@@ -273,22 +280,23 @@ def simulate(
 ) -> TrajectoryBatch:
     """Simulate N output trajectories of length T+1 from initial value x0.
 
-    The batch is cut into chunks whose noise draws fit in ``CHUNK_BYTES``:
-    each holds a multiple of ``STREAM_BLOCK`` rows and the last one also
-    takes the remainder, so every chunk starts on a block boundary and the
-    cuts depend only on ``CHUNK_BYTES`` and the row size.  The rounding and
-    the merged remainder keep ``Y`` equal to a one-chunk run's: BLAS rounds
-    a one-row product, and the trailing rows of a matrix-vector product,
-    differently from the same rows inside a larger product.  Each chunk draws
-    its own blocks of the streams and runs its own recurrence.  A batch of
-    more than one chunk runs them on threads, one per usable CPU and at most
-    ``CHUNKS_IN_FLIGHT``, so at most that many chunks' draws are held at
-    once; a one-chunk batch, or one on a single usable CPU, runs in the
-    calling thread.  ``Y`` does not
-    depend on the number of threads, since each chunk computes the same
-    products whichever thread runs it.  It can still depend on the cuts: a
-    BLAS with a separate small-matrix kernel (OpenBLAS on AVX-512) rounds a
-    chunk's products differently in the last bit when n >= 32 and m > 1.
+    The batch is cut into chunks whose noise draws and two state arrays fit
+    in ``CHUNK_BYTES``: each holds a multiple of ``CHUNK_ROW_MULTIPLE`` rows
+    and the last one also takes the remainder, so the cuts depend only on
+    ``CHUNK_BYTES`` and the row size.  The rounding and the merged remainder
+    keep ``Y`` equal to a one-chunk run's: BLAS rounds a one-row product,
+    and the trailing rows of a matrix-vector product, differently from the
+    same rows inside a larger product.  Each chunk draws its own part of the
+    noise stream (a cut may fall inside a Philox block, which both chunks
+    then draw) and runs its own recurrence.  A batch of more than one chunk
+    runs them on threads, one per usable CPU and at most
+    ``CHUNKS_IN_FLIGHT``, so at most that many chunks' draws and states are
+    held at once; a one-chunk batch, or one on a single usable CPU, runs in
+    the calling thread.  ``Y`` does not depend on the number of threads,
+    since each chunk computes the same products whichever thread runs it.
+    It can still depend on the cuts: a BLAS with a separate small-matrix
+    kernel (OpenBLAS on AVX-512) rounds a chunk's products differently in
+    the last bit when n >= 32 and m > 1.
 
     The state guard raises ``ConditioningError`` at the earliest step, over
     all trajectories, at which a state exceeds ``STATE_OVERFLOW_LIMIT``;
@@ -308,8 +316,8 @@ def simulate(
     L = _general_factor(sys, T)
     if float(np.abs(x0).max()) > STATE_OVERFLOW_LIMIT:
         raise ConditioningError(f"state magnitude exceeded {STATE_OVERFLOW_LIMIT:g} at step 0")
-    row_bytes = 8 * (n * T + m * (T + 1))
-    rows = max(STREAM_BLOCK, CHUNK_BYTES // row_bytes // STREAM_BLOCK * STREAM_BLOCK)
+    row_bytes = 8 * (n * T + m * (T + 1) + 2 * n)
+    rows = max(1, CHUNK_BYTES // row_bytes // CHUNK_ROW_MULTIPLE) * CHUNK_ROW_MULTIPLE
     stops = list(range(rows, N - rows + 1, rows)) + [N]
     starts = [0] + stops[:-1]
     Y = np.empty((N, m * (T + 1)))

@@ -120,30 +120,32 @@ class TestSimulate:
         simulate(sys_line2_first, [0.0, sim.STATE_OVERFLOW_LIMIT], N=3, T=0, seed=1)
 
 
-#: Trajectories per Philox counter in the pinned stream design.
-BLOCK = 8
+#: Unit normals per Philox counter in the pinned stream design.
+BLOCK = 4096
 
 
 def reference_normals(seed: int, N: int, length: int, start: int = 0) -> np.ndarray:
-    """Rows of trajectories start, ..., start + N - 1 of the block stream.
+    """Rows of trajectories start, ..., start + N - 1 of the flat normal stream.
 
-    Block b is ``BLOCK`` rows of ``length`` normals from a fresh Philox stream
-    with the seed's key at counter [0, 0, 0, b]; trajectory i is row i mod
-    BLOCK of block i // BLOCK.
+    Block b is ``BLOCK`` normals from a fresh Philox stream with the seed's
+    key at counter [0, 0, 0, b]; the blocks are concatenated, and trajectory
+    i is normals i*length, ..., (i+1)*length - 1 of the result.
     """
     key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-    blocks = {}
-    rows = []
-    for i in range(start, start + N):
-        b = i // BLOCK
-        if b not in blocks:
-            philox = np.random.Philox(counter=[0, 0, 0, b], key=key)
-            blocks[b] = np.random.Generator(philox).standard_normal((BLOCK, length))
-        rows.append(blocks[b][i % BLOCK])
-    return np.array(rows)
+    lo, hi = start * length, (start + N) * length
+    flat = np.concatenate([
+        np.random.Generator(np.random.Philox(counter=[0, 0, 0, b], key=key)).standard_normal(BLOCK)
+        for b in range(-(-hi // BLOCK))
+    ])
+    return flat[lo:hi].reshape(N, length)
 
 
-#: (seed, block, first draws of the block) under the "philox4x64-block8" stream.
+def reference_general(Z: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """General noise row by row: each row of Z times L, as a one-row einsum."""
+    return np.vstack([np.einsum("ij,kj->ik", z[None, :], L, optimize=False) for z in Z])
+
+
+#: (seed, block, first draws of the block) under the "philox4x64-normals4096" stream.
 PINNED_DRAWS = [
     (0, 0, [-0.2059740286292238, -0.12884495093462758, -0.28978987549091256,
              -1.271943284573895, -1.4064349008284343]),
@@ -167,20 +169,24 @@ def general_noise_system(T: int) -> LinearSystem:
 
 
 class TestNoiseStream:
-    """Trajectory i is row i mod 8 of the Philox block at counter [0, 0, 0, i // 8]."""
+    """Trajectory i is normals i*side, ..., (i+1)*side - 1 of one sequence whose
+    block b of 4096 normals is drawn at Philox counter [0, 0, 0, b]."""
 
     def test_stream_pinned_to_literal_draws(self):
         # The first draws of two (seed, block) pairs, as numpy's Philox and
         # ziggurat give them: a change to either, or to the stream design,
-        # fails here.  n = m = 1 and T = 1 give rows of 3 unit normals.
-        assert sim.STREAM == "philox4x64-block8"
+        # fails here.  n = m = 1 and T = 1 give rows of 3 unit normals, so
+        # block 5 starts inside trajectory 6826.
+        assert sim.STREAM == "philox4x64-normals4096"
         system = LinearSystem(n=1, m=1, A=[[0.5]], C=[[1.0]], noise=NoiseModel.iid(1.0, 1.0))
         for seed, block, want in PINNED_DRAWS:
-            batch = simulate(system, [0.0], N=BLOCK * block + 2, T=1, seed=seed)
-            rows = np.hstack([batch.V, batch.W])[BLOCK * block:]
-            np.testing.assert_array_equal(rows.ravel()[:len(want)], want)
+            lo = BLOCK * block
+            N = -(-(lo + len(want)) // 3)
+            batch = simulate(system, [0.0], N=N, T=1, seed=seed)
+            flat = np.hstack([batch.V, batch.W]).ravel()
+            np.testing.assert_array_equal(flat[lo:lo + len(want)], want)
             np.testing.assert_array_equal(
-                reference_normals(seed, 2, 3, BLOCK * block).ravel()[:len(want)], want
+                reference_normals(seed, N, 3).ravel()[lo:lo + len(want)], want
             )
 
     @pytest.mark.parametrize("T", [0, 1, 4])
@@ -199,10 +205,10 @@ class TestNoiseStream:
     @pytest.mark.parametrize("N", [5, 13])
     def test_partial_last_block_cut_from_whole_block(self, N):
         # The last block is drawn whole and cut, so the rows a short batch
-        # keeps are those of a batch that fills the block.
+        # keeps are those of a batch that fills the block (rows of 12).
         system = iid_noise_system()
         batch = simulate(system, np.ones(3), N=N, T=2, seed=77)
-        full = simulate(system, np.ones(3), N=16, T=2, seed=77)
+        full = simulate(system, np.ones(3), N=BLOCK // 12 + 1, T=2, seed=77)
         Z = reference_normals(77, N, 3 * 2 + 2 * 3)
         np.testing.assert_array_equal(batch.V, 0.7 * Z[:, :6])
         np.testing.assert_array_equal(batch.W, 1.3 * Z[:, 6:])
@@ -211,14 +217,17 @@ class TestNoiseStream:
 
     @pytest.mark.parametrize("start, N", [(16, 8), (16, 11), (8, 3), (11, 9)])
     def test_draws_from_a_later_start(self, start, N):
-        # A chunk starting on a block boundary reads its blocks' counters
-        # directly; an unaligned start cuts the first block.
-        system = iid_noise_system()
-        T, seed = 1, 2**40 + 3
+        # Rows of 256 normals: trajectory 16 starts block 1, trajectory 8
+        # starts inside block 0, and trajectories 11-19 straddle the two.
+        n, m, T = 2, 1, 85
+        system = LinearSystem(
+            n=n, m=m, A=np.eye(n) * 0.5, C=np.ones((m, n)), noise=NoiseModel.iid(0.7, 1.3)
+        )
+        seed = 2**40 + 3
         V, W = sim._draw_noise(system, N, T, seed, start, None)
-        Z = reference_normals(seed, N, 3 * T + 2 * (T + 1), start)
-        np.testing.assert_array_equal(V, 0.7 * Z[:, :3 * T])
-        np.testing.assert_array_equal(W, 1.3 * Z[:, 3 * T:])
+        Z = reference_normals(seed, N, 256, start)
+        np.testing.assert_array_equal(V, 0.7 * Z[:, :n * T])
+        np.testing.assert_array_equal(W, 1.3 * Z[:, n * T:])
 
     @pytest.mark.parametrize("T", [0, 2])
     def test_general_draws_match_reference_streams(self, T):
@@ -227,10 +236,43 @@ class TestNoiseStream:
         batch = simulate(system, np.ones(3), N=N, T=T, seed=seed)
         L = _noise_factor(system.noise.Sigma_T)
         Z = reference_normals(seed, N, L.shape[0])
-        want = np.array([L @ z for z in Z])
+        want = reference_general(Z, L)
+        np.testing.assert_allclose(want, np.array([L @ z for z in Z]), rtol=1e-13, atol=1e-13)
         len_v = system.n * T
         np.testing.assert_array_equal(batch.V, want[:, :len_v])
         np.testing.assert_array_equal(batch.W, want[:, len_v:])
+
+    @pytest.mark.parametrize("start, N", [(0, 1), (0, 400), (5, 1000), (341, 1), (100, 300)])
+    def test_generator_drawn_once_per_covering_block(self, monkeypatch, start, N):
+        # One standard_normal call per Philox block that the range of normals
+        # touches: rows of 12 normals, so trajectory 341 and trajectories
+        # 100-399 straddle blocks 0 and 1.
+        calls = []
+
+        class CountedGenerator(np.random.Generator):
+            def standard_normal(self, *args, **kwargs):
+                calls.append(1)
+                return super().standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", CountedGenerator)
+        sim._draw_noise(iid_noise_system(), N, 2, 3, start, None)
+        lo, hi = 12 * start, 12 * (start + N)
+        assert len(calls) == -(-hi // BLOCK) - lo // BLOCK
+
+    def test_general_rows_do_not_depend_on_slicing(self):
+        # The einsum that applies L gives each row the same bits however the
+        # batch is sliced, for every side from 3 to 202.
+        rng = np.random.default_rng(8)
+        for side in range(3, 203):
+            system = LinearSystem(
+                n=1, m=side, A=[[0.5]], C=np.ones((side, 1)),
+                noise=NoiseModel.general(np.eye(side)),
+            )
+            L = rng.standard_normal((side, side))
+            whole = np.hstack(sim._draw_noise(system, 40, 0, side, 0, L))
+            for start, N in [(0, 1), (1, 7), (5, 13), (17, 23), (39, 1)]:
+                part = np.hstack(sim._draw_noise(system, N, 0, side, start, L))
+                np.testing.assert_array_equal(part, whole[start:start + N], err_msg=f"side {side}")
 
     def test_general_trajectories_independent_of_batch_size(self):
         system = general_noise_system(2)
@@ -249,8 +291,9 @@ def iid_noise_system() -> LinearSystem:
 
 
 def chunk_rows(monkeypatch, system: LinearSystem, T: int, rows: int) -> None:
-    """Set the chunk budget to ``rows`` trajectories' worth of draws."""
-    monkeypatch.setattr(sim, "CHUNK_BYTES", 8 * rows * (system.n * T + system.m * (T + 1)))
+    """Set the chunk budget to ``rows`` trajectories' worth of draws and states."""
+    row_bytes = 8 * (system.n * T + system.m * (T + 1) + 2 * system.n)
+    monkeypatch.setattr(sim, "CHUNK_BYTES", rows * row_bytes)
 
 
 def count_draws(monkeypatch) -> list:
@@ -306,7 +349,7 @@ class TestChunks:
         Z = reference_normals(seed, N, len_v + system.m * (T + 1))
         if general:
             L = _noise_factor(system.noise.Sigma_T)
-            want_v, want_w = np.hsplit(np.array([L @ z for z in Z]), [len_v])
+            want_v, want_w = np.hsplit(reference_general(Z, L), [len_v])
         else:
             want_v, want_w = 0.7 * Z[:, :len_v], 1.3 * Z[:, len_v:]
         for batch in (whole, chunked):
@@ -357,6 +400,22 @@ class TestChunks:
             with pytest.raises(ConditioningError, match="at step 152$"):
                 simulate(system, [0.0], N=8, T=400, seed=4)
 
+    def test_short_horizon_chunks_count_the_states(self):
+        # T = 0 leaves one draw per trajectory but 200 states: a chunk sized
+        # by its draws alone would hold all 20,000 trajectories' states.
+        n = 200
+        system = LinearSystem(
+            n=n, m=1, A=np.eye(n) * 0.5, C=np.ones((1, n)), noise=NoiseModel.iid(1.0, 1.0)
+        )
+        simulate(system, np.ones(n), N=8, T=0, seed=0)
+        tracemalloc.start()
+        try:
+            batch = simulate(system, np.ones(n), N=20_000, T=0, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < batch.Y.nbytes + 8 * sim.CHUNK_BYTES
+
     @pytest.mark.parametrize("cpus", [None, 64], ids=["machine-cpus", "64-cpus"])
     def test_peak_memory_is_outputs_plus_a_few_chunks(self, monkeypatch, sys_line2_first, cpus):
         # CHUNKS_IN_FLIGHT holds the bound however many CPUs there are.
@@ -395,6 +454,26 @@ class TestWorkers:
         assert pools == {1: [], 4: [4]}
         for name in ("Y", "V", "W"):
             np.testing.assert_array_equal(getattr(batches[1], name), getattr(batches[4], name))
+
+    @pytest.mark.parametrize("general", [False, True], ids=["iid", "general"])
+    def test_cuts_inside_a_philox_block(self, monkeypatch, general):
+        # Chunks of 24 rows of 12 normals: no cut falls on a multiple of 4096
+        # normals, and the chunk at trajectories 336-359 straddles blocks 0
+        # and 1, which both of its neighbours also draw.
+        T, N, seed = 2, 700, 5
+        system = general_noise_system(T) if general else iid_noise_system()
+        x0 = np.array([2.0, 1.0, -1.0])
+        whole = simulate(system, x0, N=N, T=T, seed=seed)
+        chunk_rows(monkeypatch, system, T, 24)
+        for k in (1, 4):
+            force_workers(monkeypatch, k)
+            calls = count_draws(monkeypatch)
+            chunked = simulate(system, x0, N=N, T=T, seed=seed)
+            starts = sorted(start for start, _ in calls)
+            assert starts == list(range(0, N - 24 + 1, 24))
+            assert all(12 * start % BLOCK for start in starts[1:])
+            for name in ("Y", "V", "W"):
+                np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name))
 
     def test_one_chunk_batch_starts_no_thread(self, monkeypatch, sys_line2_first):
         force_workers(monkeypatch, 4)
