@@ -176,12 +176,14 @@ def cmd_attack(args) -> dict:
             delta=args.dp_delta,
             T=args.T,
         )
-    batch = sim.simulate(system, x0, args.N, args.T, seed=args.seed)
-    result = sim.mle_attack(system, batch)
-    out = result.to_dict()
-    out["N"] = batch.N
-    out["T"] = batch.T
-    out["seed"] = batch.seed
+    # Only --save-batch needs the N-row Y; the estimate reads the merged mean.
+    T, moments, batch = sim._simulate(
+        system, x0, args.N, args.T, args.seed, keep=bool(args.save_batch)
+    )
+    out = sim._attack(system, moments.mean, moments.count, T).to_dict()
+    out["N"] = moments.count
+    out["T"] = T
+    out["seed"] = args.seed
     out["stream"] = sim.STREAM
     if args.save_batch:
         sim.batch_to_csv(batch, args.save_batch)
@@ -198,16 +200,17 @@ def cmd_attack(args) -> dict:
 def cmd_simulate(args) -> dict:
     system = require_lti(load_system(args.system))
     x0 = _parse_vector(args.x0)
-    batch = sim.simulate(system, x0, args.N, args.T, seed=args.seed)
+    # Only --out needs the N-row Y; the summary reads the merged moments.
+    T, moments, batch = sim._simulate(system, x0, args.N, args.T, args.seed, keep=bool(args.out))
     out = {
         "n": system.n,
         "m": system.m,
-        "N": batch.N,
-        "T": batch.T,
-        "seed": batch.seed,
+        "N": moments.count,
+        "T": T,
+        "seed": args.seed,
         "stream": sim.STREAM,
-        "y_mean": [float(v) for v in batch.Y.mean(axis=0)],
-        "y_std": [float(v) for v in batch.Y.std(axis=0)],
+        "y_mean": moments.mean.tolist(),
+        "y_std": np.sqrt(moments.m2 / moments.count).tolist(),
     }
     if args.out:
         sim.batch_to_csv(batch, args.out)

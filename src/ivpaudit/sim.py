@@ -24,7 +24,14 @@ seed and its trajectory indices, chunks run concurrently, on one thread per
 usable CPU and at most ``CHUNKS_IN_FLIGHT`` at once; there is nothing to
 set, and the results do not depend on the number of threads.  A batch
 regenerates its noise draws from the seed when they are read, so memory
-grows with the outputs, not with the noise.
+grows with the outputs, not with the noise.  Each chunk also reduces its
+outputs to column moments (count, mean, centred sum of squares) in the
+thread that ran it, and the chunks' moments are merged in chunk order
+(Chan, Golub & LeVeque 1979).  The averaging attack reads only the mean, so
+the ``simulate`` and ``attack`` commands read the merged moments and hold
+an N-row ``Y`` only when they write it to a CSV: without one, their memory
+does not grow with N.  They still run every trajectory's recurrence, so the
+state guard reports the exact earliest step.
 
 The empirical probe compares per-coordinate output histograms between
 adjacent initial values and extracts the worst-case likelihood-ratio bound
@@ -33,11 +40,13 @@ that the samples support, which lower-bounds the true privacy loss.
 
 from __future__ import annotations
 
+import collections
 import csv
 import functools
+import itertools
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -244,28 +253,57 @@ def _draw_noise(
     return Z[:, :len_v], Z[:, len_v:]
 
 
-def _simulate_chunk(
-    sys: LinearSystem, x0: np.ndarray, Y: np.ndarray, start: int, stop: int,
-    T: int, seed: int, L: np.ndarray | None,
-) -> int | None:
-    """Run trajectories start, ..., stop - 1 into rows start:stop of ``Y``.
+class _Moments(NamedTuple):
+    """Column moments of stacked output rows: the row count, the column mean
+    and the centred column sum of squares."""
 
-    Draws the chunk's blocks with ``_draw_noise`` and returns the earliest
+    count: int
+    mean: np.ndarray
+    m2: np.ndarray
+
+
+def _merge(a: _Moments, b: _Moments) -> _Moments:
+    """The moments of a's rows followed by b's (Chan, Golub & LeVeque 1979)."""
+    count = a.count + b.count
+    delta = b.mean - a.mean
+    return _Moments(
+        count,
+        a.mean + delta * (b.count / count),
+        a.m2 + b.m2 + delta**2 * (a.count * b.count / count),
+    )
+
+
+def _simulate_chunk(
+    sys: LinearSystem, x0: np.ndarray, start: int, stop: int,
+    T: int, seed: int, L: np.ndarray | None, Y: np.ndarray | None,
+) -> tuple[int | None, _Moments | None]:
+    """Run trajectories start, ..., stop - 1 and reduce their outputs to moments.
+
+    Draws the chunk's blocks with ``_draw_noise`` and runs the recurrence,
+    writing the outputs into rows start:stop of ``Y`` when one is given and
+    over the chunk's measurement noise ``W`` otherwise.  Returns the earliest
     step at which one of its states exceeded ``STATE_OVERFLOW_LIMIT`` (the
-    recurrence stops there), or None.
+    recurrence stops there, with no moments), or None with the moments of
+    its output rows.
     """
     n, m = sys.n, sys.m
     V, W = _draw_noise(sys, stop - start, T, seed, start, L)
+    out = W if Y is None else Y[start:stop]
     x = np.broadcast_to(x0, (stop - start, n)).copy()
     for t in range(T + 1):
-        Y[start:stop, t * m:(t + 1) * m] = x @ sys.C.T + W[:, t * m:(t + 1) * m]
+        cols = slice(t * m, (t + 1) * m)
+        np.add(x @ sys.C.T, W[:, cols], out=out[:, cols])
         if t == T:
-            return None
+            break
         x = x @ sys.A.T
         x += V[:, t * n:(t + 1) * n]  # in place: two state arrays at a time, not three
         peak = float(np.abs(x).max(initial=0.0))
         if not np.isfinite(peak) or peak > STATE_OVERFLOW_LIMIT:
-            return t + 1
+            return t + 1, None
+    mean = out.mean(axis=0)
+    dev = out - mean
+    dev *= dev
+    return None, _Moments(stop - start, mean, dev.sum(axis=0))
 
 
 def _usable_cpus() -> int:
@@ -288,11 +326,11 @@ def simulate(
     and the trailing rows of a matrix-vector product, differently from the
     same rows inside a larger product.  Each chunk draws its own part of the
     noise stream (a cut may fall inside a Philox block, which both chunks
-    then draw) and runs its own recurrence.  A batch of more than one chunk
-    runs them on threads, one per usable CPU and at most
-    ``CHUNKS_IN_FLIGHT``, so at most that many chunks' draws and states are
-    held at once; a one-chunk batch, or one on a single usable CPU, runs in
-    the calling thread.  ``Y`` does not depend on the number of threads,
+    then draw) and runs its own recurrence into its rows of ``Y``.  A batch
+    of more than one chunk runs them on threads, one per usable CPU and at
+    most ``CHUNKS_IN_FLIGHT``, so at most that many chunks' draws and states
+    are held at once; a one-chunk batch, or one on a single usable CPU, runs
+    in the calling thread.  ``Y`` does not depend on the number of threads,
     since each chunk computes the same products whichever thread runs it.
     It can still depend on the cuts: a BLAS with a separate small-matrix
     kernel (OpenBLAS on AVX-512) rounds a chunk's products differently in
@@ -301,6 +339,20 @@ def simulate(
     The state guard raises ``ConditioningError`` at the earliest step, over
     all trajectories, at which a state exceeds ``STATE_OVERFLOW_LIMIT``;
     step 0 is x0 itself.
+    """
+    return _simulate(sys, x0, N, T, seed, keep=True)[2]
+
+
+def _simulate(
+    sys: LinearSystem, x0, N: int, T: int | None, seed: int, keep: bool
+) -> tuple[int, _Moments, TrajectoryBatch | None]:
+    """``simulate``'s chunks, reduced to the horizon T and the moments of the N outputs.
+
+    Each chunk reduces its rows to moments in the thread that ran it, and
+    the chunks' moments are merged in chunk order, so they depend on the
+    cuts but not on the number of threads.  Only ``keep`` allocates the
+    N-row ``Y`` and returns the batch (else None): without it, memory does
+    not grow with N.
     """
     require_lti(sys)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
@@ -318,27 +370,58 @@ def simulate(
         raise ConditioningError(f"state magnitude exceeded {STATE_OVERFLOW_LIMIT:g} at step 0")
     row_bytes = 8 * (n * T + m * (T + 1) + 2 * n)
     rows = max(1, CHUNK_BYTES // row_bytes // CHUNK_ROW_MULTIPLE) * CHUNK_ROW_MULTIPLE
-    stops = list(range(rows, N - rows + 1, rows)) + [N]
-    starts = [0] + stops[:-1]
-    Y = np.empty((N, m * (T + 1)))
-    run = functools.partial(_simulate_chunk, sys, x0, Y, T=T, seed=seed, L=L)
-    workers = min(_usable_cpus(), len(stops), CHUNKS_IN_FLIGHT)
+    cuts = range(rows, N - rows + 1, rows)
+    chunks = zip(itertools.chain([0], cuts), itertools.chain(cuts, [N]))
+    Y = np.empty((N, m * (T + 1))) if keep else None
+    run = functools.partial(_simulate_chunk, sys, x0, T=T, seed=seed, L=L, Y=Y)
+    workers = min(_usable_cpus(), len(cuts) + 1, CHUNKS_IN_FLIGHT)
     if workers == 1:
-        steps = list(map(run, starts, stops))
+        step, moments = _merge_chunks(itertools.starmap(run, chunks))
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(workers) as pool:
-            steps = list(pool.map(run, starts, stops))
-    bad = [k for k in steps if k is not None]
-    if bad:
+            step, moments = _merge_chunks(_in_order(pool, run, chunks, 2 * workers))
+    if step is not None:
         raise ConditioningError(
-            f"state magnitude exceeded {STATE_OVERFLOW_LIMIT:g} at step {min(bad)}"
+            f"state magnitude exceeded {STATE_OVERFLOW_LIMIT:g} at step {step}"
         )
+    if not keep:
+        return T, moments, None
     Y.flags.writeable = False
     frozen_x0 = x0.copy()
     frozen_x0.flags.writeable = False
-    return TrajectoryBatch(x0=frozen_x0, N=N, T=T, Y=Y, seed=seed, system=sys)
+    return T, moments, TrajectoryBatch(x0=frozen_x0, N=N, T=T, Y=Y, seed=seed, system=sys)
+
+
+def _in_order(pool, run, chunks, ahead: int):
+    """``run`` over ``chunks`` on ``pool``, results in chunk order, with at most
+    ``ahead`` chunks submitted and not yet taken, so the pending tasks do not
+    grow with the number of chunks.  As with ``Executor.map``, a chunk that
+    raises cancels the chunks not yet started."""
+    pending = collections.deque()
+    try:
+        for chunk in chunks:
+            if len(pending) == ahead:
+                yield pending.popleft().result()
+            pending.append(pool.submit(run, *chunk))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
+def _merge_chunks(results) -> tuple[int | None, _Moments | None]:
+    """The earliest guard step over ``_simulate_chunk`` results taken in chunk
+    order, or None with their merged moments; each result is dropped once merged."""
+    step = moments = None
+    for bad, part in results:
+        if bad is not None:
+            step = bad if step is None else min(step, bad)
+        elif step is None:
+            moments = part if moments is None else _merge(moments, part)
+    return step, moments
 
 
 def mle_attack(sys: LinearSystem, batch: TrajectoryBatch) -> AttackResult:
@@ -351,11 +434,20 @@ def mle_attack(sys: LinearSystem, batch: TrajectoryBatch) -> AttackResult:
     zero noise variance get the least noisy direction's weight (at least 1),
     not exact constraints: a zero-noise release is inverted, but a partly
     noise-free one is not fitted exactly on its noise-free part.
+
+    The estimate reads only the mean output ``batch.Y.mean(axis=0)``, N
+    and T.  The ``attack`` command computes it from the mean merged over
+    ``simulate``'s chunks instead, without holding ``Y``, so its figures can
+    differ from this function's in the last few bits.
     """
     require_lti(sys)
-    O_T = np.vstack(_output_power_blocks(sys.A, sys.C, batch.T + 1))
-    sigma = _noise_covariance(sys, O_T, batch.T)
-    ybar = batch.Y.mean(axis=0)
+    return _attack(sys, batch.Y.mean(axis=0), batch.N, batch.T)
+
+
+def _attack(sys: LinearSystem, ybar: np.ndarray, N: int, T: int) -> AttackResult:
+    """``mle_attack`` on the mean ``ybar`` of N output trajectories of horizon T."""
+    O_T = np.vstack(_output_power_blocks(sys.A, sys.C, T + 1))
+    sigma = _noise_covariance(sys, O_T, T)
 
     lam, U = np.linalg.eigh(sigma)
     noisy = lam > rank_tolerance(sigma, max(float(lam[-1]), 0.0))
@@ -371,7 +463,7 @@ def mle_attack(sys: LinearSystem, batch: TrajectoryBatch) -> AttackResult:
     residual = float(np.linalg.norm(ybar - O_T @ x0_hat))
 
     identifiable = kern.rank == sys.n
-    covariance = estimator @ sigma @ estimator.T / batch.N if identifiable else None
+    covariance = estimator @ sigma @ estimator.T / N if identifiable else None
     null_space = None if identifiable else kern.N.copy()
     for arr in (x0_hat,) + ((covariance,) if covariance is not None else ()):
         arr.flags.writeable = False

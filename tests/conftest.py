@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from ivpaudit import (
     NoiseModel,
     instantiate,
     sample_configuration,
+    sim,
 )
 
 
@@ -106,6 +108,68 @@ def write_system_file(tmp_path, name: str, payload: dict) -> str:
     path = tmp_path / name
     path.write_text(json.dumps(payload, indent=2))
     return str(path)
+
+
+# Release systems and ``simulate`` chunking, shared by the library and CLI tests.
+
+
+def iid_noise_system() -> LinearSystem:
+    n, m = 3, 2
+    return LinearSystem(
+        n=n, m=m, A=np.eye(n) * 0.5, C=np.ones((m, n)), noise=NoiseModel.iid(0.7, 1.3)
+    )
+
+
+def chunk_rows(monkeypatch, system: LinearSystem, T: int, rows: int) -> None:
+    """Set the chunk budget to ``rows`` trajectories' worth of draws and states."""
+    row_bytes = 8 * (system.n * T + system.m * (T + 1) + 2 * system.n)
+    monkeypatch.setattr(sim, "CHUNK_BYTES", rows * row_bytes)
+
+
+def count_draws(monkeypatch) -> list:
+    """Record (start, rows) of every ``_draw_noise`` call."""
+    calls = []
+    draw = sim._draw_noise
+
+    def counted(system, N, T, seed, start, L):
+        calls.append((start, N))
+        return draw(system, N, T, seed, start, L)
+
+    monkeypatch.setattr(sim, "_draw_noise", counted)
+    return calls
+
+
+_ThreadPool = concurrent.futures.ThreadPoolExecutor
+
+
+def force_workers(monkeypatch, k: int) -> list:
+    """Give ``simulate`` k CPUs and k chunks in flight; returns the worker
+    count of every thread pool it starts."""
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: k)
+    monkeypatch.setattr(sim, "CHUNKS_IN_FLIGHT", k)
+    pools = []
+
+    class CountedPool(_ThreadPool):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+    return pools
+
+
+def general_noise_system(T: int) -> LinearSystem:
+    rng = np.random.default_rng(5)
+    n, m = 3, 2
+    side = n * T + m * (T + 1)
+    root = rng.standard_normal((side, side))
+    return LinearSystem(
+        n=n,
+        m=m,
+        A=rng.standard_normal((n, n)) / 2.0,
+        C=rng.standard_normal((m, n)),
+        noise=NoiseModel.general(root @ root.T),
+    )
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib.resources import files
 
 import jsonschema
@@ -13,7 +14,14 @@ import pytest
 import ivpaudit
 from ivpaudit import cli, generic, intrinsic, load_structure, load_system, obsv, sim
 from ivpaudit.cli import main
-from conftest import write_system_file
+from conftest import (
+    chunk_rows,
+    count_draws,
+    force_workers,
+    general_noise_system,
+    iid_noise_system,
+    write_system_file,
+)
 
 
 def run_cli(capsys, argv):
@@ -443,9 +451,7 @@ class TestAttack:
     def test_bad_adjacent_exits_before_simulating(
         self, capsys, monkeypatch, file_line2_first, tmp_path, adjacent
     ):
-        calls = []
-        simulate = sim.simulate
-        monkeypatch.setattr(sim, "simulate", lambda *a, **k: calls.append(a) or simulate(*a, **k))
+        calls = count_draws(monkeypatch)
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         argv = [
@@ -465,9 +471,7 @@ class TestAttack:
     ):
         # 2 initial values x 10 runs = 20 samples: 21 cells cannot all be
         # populated, and 1e9 would allocate gigabytes of edges per coordinate.
-        calls = []
-        simulate = sim.simulate
-        monkeypatch.setattr(sim, "simulate", lambda *a, **k: calls.append(a) or simulate(*a, **k))
+        calls = count_draws(monkeypatch)
         for bins in ("21", "1000000000"):
             code, out, err = run_cli(
                 capsys,
@@ -551,6 +555,152 @@ class TestSimulate:
             ["simulate", "--system", file_struct_line3, "--x0", "1,1,1", "--N", "5", "--seed", "1"],
         )
         assert code == 2
+
+
+def release_system(kind: str, T: int) -> ivpaudit.LinearSystem:
+    """A 3-state release system; "noise-free-y0" has sigma_omega = 0, so the
+    outputs at step 0 have zero variance."""
+    if kind == "iid":
+        return iid_noise_system()
+    system = general_noise_system(T)
+    if kind == "general":
+        return system
+    return ivpaudit.LinearSystem(
+        n=system.n, m=system.m, A=system.A, C=system.C, noise=ivpaudit.NoiseModel.iid(0.7, 0.0)
+    )
+
+
+def release_argv(command: str, path: str, N: int, T: int, seed: int = 11) -> list:
+    return [command, "--system", path, "--x0", "0.1,0.2,0.7", "--N", str(N), "--T", str(T),
+            "--seed", str(seed)]
+
+
+class TestReleaseMoments:
+    """``simulate`` and ``attack`` without a CSV read moments merged from the
+    chunks and hold no N-row output array."""
+
+    KINDS = ["iid", "general", "noise-free-y0"]
+    SIZES = pytest.mark.parametrize("N", [1, 5, 45], ids=["one-row", "partial-chunk", "five-chunks"])
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @SIZES
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_simulate_summary_matches_the_batch(
+        self, capsys, monkeypatch, tmp_path, kind, N, workers
+    ):
+        T = 2
+        system = release_system(kind, T)
+        path = str(tmp_path / "release.json")
+        ivpaudit.save_system(system, path)
+        chunk_rows(monkeypatch, system, T, 8)
+        force_workers(monkeypatch, workers)
+        payload = run_json(capsys, release_argv("simulate", path, N, T), "simulate")
+        Y = ivpaudit.simulate(system, [0.1, 0.2, 0.7], N, T, seed=11).Y
+        # Zero-variance coordinates have a std of rounding size: an absolute bound.
+        np.testing.assert_allclose(payload["y_mean"], Y.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(payload["y_std"], Y.std(axis=0), rtol=1e-12, atol=1e-14)
+        if kind == "noise-free-y0":
+            assert max(payload["y_std"][:system.m]) < 1e-14
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @SIZES
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_attack_matches_the_library_attack(
+        self, capsys, monkeypatch, tmp_path, kind, N, workers
+    ):
+        T = 2
+        system = release_system(kind, T)
+        path = str(tmp_path / "release.json")
+        ivpaudit.save_system(system, path)
+        chunk_rows(monkeypatch, system, T, 8)
+        force_workers(monkeypatch, workers)
+        payload = run_json(capsys, release_argv("attack", path, N, T), "attack")
+        want = ivpaudit.mle_attack(
+            system, ivpaudit.simulate(system, [0.1, 0.2, 0.7], N, T, seed=11)
+        ).to_dict()
+        np.testing.assert_allclose(payload["x0_hat"], want["x0_hat"], rtol=1e-12)
+        if want["identifiable"]:
+            np.testing.assert_allclose(
+                payload["covariance_estimate"], want["covariance_estimate"], rtol=1e-12
+            )
+        else:
+            assert payload["covariance_estimate"] == "non-identifiable"
+        assert payload["residual"] == pytest.approx(want["residual"], rel=0, abs=1e-12)
+        assert (payload["identifiable"], payload["null_space"]) == (
+            want["identifiable"], want["null_space"]
+        )
+        assert (payload["N"], payload["T"], payload["seed"]) == (N, T, 11)
+
+    @pytest.mark.parametrize("kind", ["iid", "general"])
+    @pytest.mark.parametrize("command, flag", [("simulate", "--out"), ("attack", "--save-batch")])
+    def test_csv_leaves_stdout_unchanged(
+        self, capsys, monkeypatch, tmp_path, command, flag, kind
+    ):
+        T, N = 2, 45
+        system = release_system(kind, T)
+        path = str(tmp_path / "release.json")
+        ivpaudit.save_system(system, path)
+        chunk_rows(monkeypatch, system, T, 8)
+        argv = release_argv(command, path, N, T)
+        code, plain, err = run_cli(capsys, argv)
+        assert code == 0, err
+        csv_path = str(tmp_path / "batch.csv")
+        code, with_csv, err = run_cli(capsys, argv + [flag, csv_path])
+        assert code == 0, err
+        payload = json.loads(with_csv)
+        assert payload.pop("batch_csv") == csv_path
+        assert json.dumps(payload, indent=2) + "\n" == plain
+        want_path = tmp_path / "library.csv"
+        sim.batch_to_csv(ivpaudit.simulate(system, [0.1, 0.2, 0.7], N, T, seed=11), want_path)
+        assert open(csv_path, "rb").read() == want_path.read_bytes()
+
+    @pytest.mark.parametrize("cpus", [None, 64], ids=["machine-cpus", "64-cpus"])
+    def test_no_csv_holds_no_output_array(self, capsys, monkeypatch, file_line2_first, cpus):
+        # The in-flight chunk budget of
+        # test_sim.py::TestChunks::test_peak_memory_is_outputs_plus_a_few_chunks,
+        # with no Y.nbytes: Y would be about 98 chunk budgets, and holding a task
+        # for each of its 390 chunks would also break it.
+        if cpus is not None:
+            monkeypatch.setattr(sim, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(sim, "CHUNK_BYTES", 2**16)
+        N = 400_000
+        assert N * 2 * 8 >= 16 * sim.CHUNK_BYTES
+        for command in ("simulate", "attack"):
+            argv = [command, "--system", file_line2_first, "--x0", "2,1", "--T", "1",
+                    "--seed", "0", "--N"]
+            # A first run of several chunks imports what a pool of threads needs.
+            assert main(argv + ["4096"]) == 0
+            capsys.readouterr()
+            tracemalloc.start()
+            try:
+                code = main(argv + [str(N)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0, capsys.readouterr().err
+            assert peak < 8 * sim.CHUNK_BYTES, command
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("command", ["simulate", "attack"])
+def test_state_guard_without_csv_exits_3_at_the_earliest_step(
+    capsys, monkeypatch, tmp_path, command, workers
+):
+    # As in test_sim.py::TestChunks::test_state_guard_reports_earliest_step_across_chunks:
+    # the first chunk passes the guard at step 152 and a later one at step 151.
+    system = ivpaudit.LinearSystem(
+        n=1, m=1, A=[[10.0]], C=[[1.0]], noise=ivpaudit.NoiseModel.iid(1.0, 0.0)
+    )
+    path = str(tmp_path / "unstable.json")
+    ivpaudit.save_system(system, path)
+    chunk_rows(monkeypatch, system, 400, 8)
+    force_workers(monkeypatch, workers)
+    with pytest.raises(ivpaudit.ConditioningError, match="at step 151$"):
+        ivpaudit.simulate(system, [0.0], N=24, T=400, seed=4)
+    argv = [command, "--system", path, "--x0", "0", "--N", "24", "--T", "400", "--seed", "4"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err == "conditioning error: state magnitude exceeded 1e+150 at step 151\n"
 
 
 @pytest.mark.parametrize(

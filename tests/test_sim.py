@@ -31,6 +31,13 @@ from ivpaudit import (
 from ivpaudit import sim
 from ivpaudit.obsv import null_basis
 from ivpaudit.sim import _noise_factor
+from conftest import (
+    chunk_rows,
+    count_draws,
+    force_workers,
+    general_noise_system,
+    iid_noise_system,
+)
 
 
 def noiseless(A, C) -> LinearSystem:
@@ -154,20 +161,6 @@ PINNED_DRAWS = [
 ]
 
 
-def general_noise_system(T: int) -> LinearSystem:
-    rng = np.random.default_rng(5)
-    n, m = 3, 2
-    side = n * T + m * (T + 1)
-    root = rng.standard_normal((side, side))
-    return LinearSystem(
-        n=n,
-        m=m,
-        A=rng.standard_normal((n, n)) / 2.0,
-        C=rng.standard_normal((m, n)),
-        noise=NoiseModel.general(root @ root.T),
-    )
-
-
 class TestNoiseStream:
     """Trajectory i is normals i*side, ..., (i+1)*side - 1 of one sequence whose
     block b of 4096 normals is drawn at Philox counter [0, 0, 0, b]."""
@@ -281,51 +274,6 @@ class TestNoiseStream:
         np.testing.assert_array_equal(small.Y, large.Y[:5])
         np.testing.assert_array_equal(small.V, large.V[:5])
         np.testing.assert_array_equal(small.W, large.W[:5])
-
-
-def iid_noise_system() -> LinearSystem:
-    n, m = 3, 2
-    return LinearSystem(
-        n=n, m=m, A=np.eye(n) * 0.5, C=np.ones((m, n)), noise=NoiseModel.iid(0.7, 1.3)
-    )
-
-
-def chunk_rows(monkeypatch, system: LinearSystem, T: int, rows: int) -> None:
-    """Set the chunk budget to ``rows`` trajectories' worth of draws and states."""
-    row_bytes = 8 * (system.n * T + system.m * (T + 1) + 2 * system.n)
-    monkeypatch.setattr(sim, "CHUNK_BYTES", rows * row_bytes)
-
-
-def count_draws(monkeypatch) -> list:
-    """Record (start, rows) of every ``_draw_noise`` call."""
-    calls = []
-    draw = sim._draw_noise
-
-    def counted(system, N, T, seed, start, L):
-        calls.append((start, N))
-        return draw(system, N, T, seed, start, L)
-
-    monkeypatch.setattr(sim, "_draw_noise", counted)
-    return calls
-
-
-_ThreadPool = concurrent.futures.ThreadPoolExecutor
-
-
-def force_workers(monkeypatch, k: int) -> list:
-    """Give ``simulate`` k CPUs and k chunks in flight; returns the worker
-    count of every thread pool it starts."""
-    monkeypatch.setattr(sim, "_usable_cpus", lambda: k)
-    monkeypatch.setattr(sim, "CHUNKS_IN_FLIGHT", k)
-    pools = []
-
-    class CountedPool(_ThreadPool):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
-    return pools
 
 
 class TestChunks:
@@ -484,6 +432,53 @@ class TestWorkers:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         batch = simulate(sys_line2_first, [2.0, 1.0], N=1000, seed=3)
         assert batch.Y.shape == (1000, 2)
+
+
+class TestMoments:
+    """Each chunk reduces its output rows to moments, and the chunks' moments
+    are merged in chunk order: they follow the cuts, never the threads."""
+
+    @pytest.mark.parametrize("N", [1, 5, 45], ids=["one-row", "partial-chunk", "five-chunks"])
+    @pytest.mark.parametrize("general", [False, True], ids=["iid", "general"])
+    def test_moments_match_the_batch_whatever_the_workers(self, monkeypatch, general, N):
+        T, seed = 2, 11
+        system = general_noise_system(T) if general else iid_noise_system()
+        x0 = np.array([0.1, 0.2, 0.7])
+        chunk_rows(monkeypatch, system, T, 8)
+        runs = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # let the threads interleave as often as they can
+        try:
+            for k in (1, 4):
+                force_workers(monkeypatch, k)
+                runs += [sim._simulate(system, x0, N, T, seed, keep) for keep in (False, True)]
+        finally:
+            sys.setswitchinterval(switch)
+        assert [batch is None for _, _, batch in runs] == [True, False, True, False]
+        T_0, first, _ = runs[0]
+        assert T_0 == T and first.count == N
+        for T_k, moments, _ in runs[1:]:
+            assert T_k == T and moments.count == N
+            np.testing.assert_array_equal(moments.mean, first.mean)
+            np.testing.assert_array_equal(moments.m2, first.m2)
+        Y = runs[1][2].Y
+        np.testing.assert_array_equal(runs[3][2].Y, Y)
+        np.testing.assert_array_equal(simulate(system, x0, N, T, seed=seed).Y, Y)
+        np.testing.assert_allclose(first.mean, Y.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(np.sqrt(first.m2 / N), Y.std(axis=0), rtol=1e-12)
+
+    def test_merge_matches_one_pass_over_the_rows(self):
+        rows = np.random.default_rng(3).standard_normal((23, 4)) * [1.0, 1e3, 1e-3, 0.0] + 5.0
+        parts = [
+            sim._Moments(len(p), p.mean(axis=0), ((p - p.mean(axis=0)) ** 2).sum(axis=0))
+            for p in np.split(rows, [1, 9, 16])
+        ]
+        merged = parts[0]
+        for part in parts[1:]:
+            merged = sim._merge(merged, part)
+        assert merged.count == 23
+        np.testing.assert_allclose(merged.mean, rows.mean(axis=0), rtol=1e-14)
+        np.testing.assert_allclose(merged.m2 / 23, rows.var(axis=0), rtol=1e-12, atol=1e-28)
 
 
 def test_import_does_not_load_scipy_stats():
