@@ -9,6 +9,13 @@ samples and look for the certifying event; observing it certifies generic
 privacy outright, while never observing it indicates generic loss (correct
 with probability one).
 
+Each round draws its weights from one generator keyed by (seed, round): row
+k of its ``uniform`` draw of shape (samples, n_weights) is sample k, and the
+rows are read block by block from the one generator, so they do not depend
+on the block size, and ``samples`` = 4 reads the first 4 rows of ``samples``
+= 8.  One independent continuous draw per sample is all the probability-one
+argument needs (Schwartz 1980; Zippel 1979).
+
 A round's samples are ranked as one stack: their weight vectors fill a stack
 of A and C in one scatter, batched products build the stack of O_ob, and one
 stacked SVD gives every sample's null basis N through the read-off of
@@ -24,6 +31,7 @@ private] == n_P_ob + 1.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -38,7 +46,6 @@ from .sysmodel import (
     NetworkStructure,
     fill_weights,
     instantiate,
-    sample_configuration,
 )
 
 __all__ = [
@@ -134,9 +141,14 @@ class DichotomyReport:
         }
 
 
-def _sampled_system(structure: NetworkStructure, seed: int, step: int, k: int, signed: bool):
-    """Weight vector of sample ``k`` of round ``step``: the draw of one sample."""
-    return sample_configuration(structure, derive_seed(seed, step, k), signed=signed).theta
+def _sampled_system(structure: NetworkStructure, rng: np.random.Generator, rows: int, signed: bool):
+    """The next ``rows`` weight vectors of a round's generator ``rng``.
+
+    Row k of a round is sample k: uniform on [0, 1] per weight, or on [-1, 1]
+    with ``signed``.  ``Generator.uniform`` reads one 64-bit word per value,
+    so the rows do not depend on how a round is cut into blocks.
+    """
+    return rng.uniform(-1.0 if signed else 0.0, 1.0, size=(rows, structure.n_weights))
 
 
 def _sample_bytes(structure: NetworkStructure) -> int:
@@ -147,21 +159,28 @@ def _sample_bytes(structure: NetworkStructure) -> int:
 
 
 def _kernel_blocks(
-    structure: NetworkStructure, seed: int, signed: bool, draws: Sequence[tuple[int, int]]
-) -> Iterator[tuple[Sequence[tuple[int, int]], list[NullBasis]]]:
-    """(draws, null bases of O_ob) block by block for the (step, k) samples ``draws``.
+    structure: NetworkStructure, seed: int, signed: bool, rounds: Sequence[int], samples: int
+) -> Iterator[tuple[list[tuple[int, int]], list[NullBasis]]]:
+    """(draws, null bases of O_ob) block by block for ``samples`` samples of each round.
 
-    A block holds as many samples as fit in ``BLOCK_BYTES``.  Its A and C
-    are filled in one scatter, its O_ob stack is built by batched products
-    and read through one stacked SVD (``obsv.null_bases``), so each null
-    basis equals ``null_basis`` of that sample's own O_ob.  An overflowing
-    power raises ``ConditioningError`` naming the earliest step at which any
-    sample of the block overflows.
+    A draw is a (step, k) pair: sample k of round ``step``, read from the
+    generator keyed by (seed, step), in round order.  A block holds as many
+    samples as fit in ``BLOCK_BYTES``.  Its A and C are filled in one
+    scatter, its O_ob stack is built by batched products and read through
+    one stacked SVD (``obsv.null_bases``), so each null basis equals
+    ``null_basis`` of that sample's own O_ob.  An overflowing power raises
+    ``ConditioningError`` naming the earliest step at which any sample of
+    the block overflows.
     """
+    draws = [(step, k) for step in rounds for k in range(samples)]
+    rngs = {step: np.random.default_rng(derive_seed(seed, step)) for step in rounds}
     per_block = max(1, BLOCK_BYTES // _sample_bytes(structure))
     for start in range(0, len(draws), per_block):
         block = draws[start:start + per_block]
-        theta = np.array([_sampled_system(structure, seed, step, k, signed) for step, k in block])
+        theta = np.concatenate([
+            _sampled_system(structure, rngs[step], len(list(run)), signed)
+            for step, run in itertools.groupby(block, key=lambda draw: draw[0])
+        ])
         # One expression, so that A, the power blocks and O_ob are freed once read.
         yield block, null_bases(
             np.concatenate(_output_power_blocks(*fill_weights(structure, theta), structure.n), axis=-2)
@@ -193,9 +212,8 @@ def estimate_generic_rank(
     P = DisclosureSet.coerce(P)
     P.validate_range(structure.n)
 
-    draws = [(_STEP_ESTIMATE, k) for k in range(samples)]
     hidden = []
-    for _, kernels in _kernel_blocks(structure, seed, signed, draws):
+    for _, kernels in _kernel_blocks(structure, seed, signed, (_STEP_ESTIMATE,), samples):
         hidden += hidden_ranks(kernels, P.nodes)
     return _estimate(hidden, seed)
 
@@ -221,9 +239,9 @@ def generic_node_privacy(
     samples = integer(samples, "samples", 1)
     seed = integer(seed, "seed", 0)
 
-    draws = [(step, k) for step in (_STEP_ESTIMATE, _STEP_VERIFY) for k in range(samples)]
     hidden, hidden_i = [], []
-    for block, kernels in _kernel_blocks(structure, seed, signed, draws):
+    rounds = (_STEP_ESTIMATE, _STEP_VERIFY)
+    for block, kernels in _kernel_blocks(structure, seed, signed, rounds, samples):
         hidden += hidden_ranks(kernels, P.nodes)
         verify = [kern for (step, _), kern in zip(block, kernels) if step == _STEP_VERIFY]
         hidden_i += hidden_ranks(verify, P.nodes + (i,))

@@ -47,6 +47,8 @@ __all__ = [
 #: ill-conditioned rather than silently overflowing.
 POWER_OVERFLOW_LIMIT = 1e150
 
+_EPS = np.finfo(float).eps
+
 
 def _output_power_blocks(A: np.ndarray, C: np.ndarray, count: int) -> list[np.ndarray]:
     """[C, CA, ..., CA^(count-1)] with an overflow guard on each step."""
@@ -145,11 +147,11 @@ def rank_tolerance(M: np.ndarray, sigma_max: float | None = None) -> float:
     """Default singular-value cutoff: sigma_max * max(shape) * machine eps.
 
     With ``sigma_max`` given, M may also be a stack; its last two axes are
-    the matrix shape.
+    the matrix shape, and ``sigma_max`` may be an array of one value per matrix.
     """
     if sigma_max is None:
         sigma_max = float(np.linalg.norm(M, 2)) if min(M.shape) > 0 else 0.0
-    return sigma_max * max(M.shape[-2:]) * np.finfo(float).eps
+    return sigma_max * max(M.shape[-2:]) * _EPS
 
 
 def numerical_rank(M, tol: float | None = None) -> int:
@@ -239,19 +241,21 @@ def hidden_ranks(kernels: list[NullBasis], rows) -> list[int]:
 
 def null_bases(M: np.ndarray, tol: float | None = None) -> list[NullBasis]:
     """:func:`null_basis` of every matrix in the count x rows x n stack M from
-    one stacked SVD, read off matrix by matrix with the same cutoffs."""
+    one stacked SVD; cutoffs, ranks and norms are read for the whole stack at
+    once, with the cutoffs of a one-matrix call."""
     count, rows, n = M.shape
     if min(rows, n) == 0:
         s, Vt = np.zeros((count, 0)), np.tile(np.eye(n), (count, 1, 1))
+        norm = np.zeros(count)
     else:
         _, s, Vt = np.linalg.svd(M, full_matrices=rows < n)
+        norm = s[:, 0]
+    cut = rank_tolerance(M, norm) if tol is None else np.full(count, float(tol))
+    rank = np.count_nonzero(s > cut[:, None], axis=1)
     out = []
-    for s_j, Vt_j in zip(s, Vt):
-        norm = float(s_j[0]) if s_j.size else 0.0
-        cut = rank_tolerance(M, norm) if tol is None else tol
-        rank = int(np.count_nonzero(s_j > cut))
-        row_tol = min(ROW_TOL_FACTOR * cut / float(s_j[rank - 1]), 0.5) if rank else 0.0
-        out.append(NullBasis(rank=rank, N=Vt_j[rank:].T, tol=float(cut), row_tol=row_tol, norm=norm))
+    for s_j, Vt_j, r, c, norm_j in zip(s, Vt, rank.tolist(), cut.tolist(), norm.tolist()):
+        row_tol = min(ROW_TOL_FACTOR * c / float(s_j[r - 1]), 0.5) if r else 0.0
+        out.append(NullBasis(rank=r, N=Vt_j[r:].T, tol=c, row_tol=row_tol, norm=norm_j))
     return out
 
 

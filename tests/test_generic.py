@@ -186,10 +186,16 @@ class TestDichotomy:
         assert d["exact"]["private"] is False
 
 
+def round_weights(structure, seed, step, samples, signed):
+    """The first ``samples`` rows of round ``step``'s generator, drawn in one call."""
+    rng = np.random.default_rng(derive_seed(seed, step))
+    return rng.uniform(-1.0 if signed else 0.0, 1.0, size=(samples, structure.n_weights))
+
+
 def sample_kernel(structure, seed, step, k, signed):
     """Null basis of one sample's O_ob, built and ranked on its own."""
-    config = sample_configuration(structure, derive_seed(seed, step, k), signed=signed)
-    return null_basis(build_bundle(instantiate(structure, config)).O_ob)
+    theta = round_weights(structure, seed, step, k + 1, signed)[k]
+    return null_basis(build_bundle(instantiate(structure, theta)).O_ob)
 
 
 def reference_estimate(structure, P, samples, seed, signed):
@@ -232,13 +238,12 @@ class TestStackedRounds:
         for structure in stacking_structures():
             for block_bytes in (generic.BLOCK_BYTES, 3 * generic._sample_bytes(structure)):
                 monkeypatch.setattr(generic, "BLOCK_BYTES", block_bytes)
-                draws = [(step, k) for step in (0, 1) for k in range(8)]
                 got = [
                     (d, kern)
-                    for block, kernels in generic._kernel_blocks(structure, 5, signed, draws)
+                    for block, kernels in generic._kernel_blocks(structure, 5, signed, (0, 1), 8)
                     for d, kern in zip(block, kernels)
                 ]
-                assert [d for d, _ in got] == draws
+                assert [d for d, _ in got] == [(step, k) for step in (0, 1) for k in range(8)]
                 for (step, k), kern in got:
                     want = sample_kernel(structure, 5, step, k, signed)
                     assert kern.rank == want.rank
@@ -258,32 +263,90 @@ class TestStackedRounds:
             assert verdict.to_dict() == reference_verdict(structure, i, P, 6, seed, signed)
 
     def test_one_draw_per_sample(self, monkeypatch, struct_tree4):
-        draws = []
+        # Each round reads one generator; with 3 samples per block, the draws
+        # follow the blocks and each sample is one row.
+        monkeypatch.setattr(generic, "BLOCK_BYTES", 3 * generic._sample_bytes(struct_tree4))
+        calls = []
         draw = generic._sampled_system
         monkeypatch.setattr(
-            generic, "_sampled_system", lambda *args: draws.append(args[2:4]) or draw(*args)
+            generic, "_sampled_system", lambda *args: calls.append(args[1:3]) or draw(*args)
         )
         generic_node_privacy(struct_tree4, 3, (), samples=5, seed=2)
-        assert draws == [(step, k) for step in (0, 1) for k in range(5)]
+        rngs = list(dict.fromkeys(rng for rng, _ in calls))
+        assert len(rngs) == 2
+        assert [rngs.index(rng) for rng, _ in calls] == [0, 0, 1, 1, 1]
+        assert [rows for _, rows in calls] == [3, 2, 1, 3, 1]
 
     @pytest.mark.parametrize("name, special, i, want", [
         ("struct_line3", np.ones(5), 0, False),
         ("struct_tree4", np.array(TREE4_SPECIAL_THETA), 3, True),
     ], ids=["below-max-rank", "at-max-rank"])
     def test_exceptional_sample_does_not_decide(self, monkeypatch, request, name, special, i, want):
-        # Sample 0 of both rounds sits on the structure's exceptional
-        # surface, where the exact test disagrees with the generic verdict.
-        # On line3 the surface drops rank(O_ob) below the estimate, so the
-        # certifying event cannot hold there; on tree4 the rank stays generic
-        # and the node test fails there, but the other samples still certify.
+        # Row 0 of both rounds sits on the structure's exceptional surface,
+        # where the exact test disagrees with the generic verdict.  On line3
+        # the surface drops rank(O_ob) below the estimate, so the certifying
+        # event cannot hold there; on tree4 the rank stays generic and the
+        # node test fails there, but the other samples still certify.
         structure = request.getfixturevalue(name)
         draw = generic._sampled_system
-        monkeypatch.setattr(
-            generic, "_sampled_system", lambda *args: special if args[3] == 0 else draw(*args)
-        )
+        started = []
+
+        def draw_special(structure, rng, rows, signed):
+            theta = draw(structure, rng, rows, signed)
+            if not any(rng is seen for seen in started):
+                started.append(rng)
+                theta[0] = special
+            return theta
+
+        monkeypatch.setattr(generic, "_sampled_system", draw_special)
         assert node_private(instantiate(structure, special), i, ()).private != want
         verdict = generic_node_privacy(structure, i, (), samples=4, seed=3)
+        assert len(started) == 2
         assert verdict.generically_private == want
+
+    @pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+    def test_round_rows_do_not_depend_on_blocks(self, monkeypatch, signed):
+        draw = generic._sampled_system
+        drawn = []
+        monkeypatch.setattr(
+            generic, "_sampled_system", lambda *args: drawn.append(draw(*args)) or drawn[-1]
+        )
+
+        def rows(structure, rounds, samples):
+            drawn.clear()
+            for _ in generic._kernel_blocks(structure, 5, signed, rounds, samples):
+                pass
+            return np.concatenate(drawn)
+
+        for structure in stacking_structures():
+            want = [round_weights(structure, 5, step, 8, signed) for step in (0, 1)]
+            # Row 0 of a round is the public single draw at the round's seed.
+            np.testing.assert_array_equal(
+                want[0][0],
+                sample_configuration(structure, derive_seed(5, 0), signed=signed).theta,
+            )
+            for block_bytes in (generic.BLOCK_BYTES, 3 * generic._sample_bytes(structure), 1):
+                monkeypatch.setattr(generic, "BLOCK_BYTES", block_bytes)
+                np.testing.assert_array_equal(rows(structure, (0, 1), 8), np.concatenate(want))
+                np.testing.assert_array_equal(
+                    rows(structure, (0, 1), 4), np.concatenate([w[:4] for w in want])
+                )
+
+    def test_verdict_round_zero_is_the_estimate(self, monkeypatch):
+        draw = generic._sampled_system
+        drawn = []
+        monkeypatch.setattr(
+            generic, "_sampled_system", lambda *args: drawn.append(draw(*args)) or drawn[-1]
+        )
+        for structure in stacking_structures():
+            monkeypatch.setattr(generic, "BLOCK_BYTES", 3 * generic._sample_bytes(structure))
+            drawn.clear()
+            est = estimate_generic_rank(structure, samples=7, seed=9)
+            estimate_rows = np.concatenate(drawn)
+            drawn.clear()
+            verdict = generic_node_privacy(structure, 0, (), samples=7, seed=9)
+            np.testing.assert_array_equal(np.concatenate(drawn)[:7], estimate_rows)
+            assert verdict.estimate.to_dict() == est.to_dict()
 
     def test_peak_memory_is_one_block(self):
         n = 60

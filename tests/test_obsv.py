@@ -23,7 +23,7 @@ from ivpaudit import (
     sample_configuration,
     select_columns,
 )
-from ivpaudit.obsv import NullBasis, hidden_ranks, null_bases, null_basis
+from ivpaudit.obsv import ROW_TOL_FACTOR, NullBasis, hidden_ranks, null_bases, null_basis
 from conftest import sweep_hidden_rank_identity
 
 
@@ -285,6 +285,40 @@ class TestNullBasis:
                     want.rank, want.tol, want.row_tol, want.norm
                 )
                 np.testing.assert_array_equal(got.N, want.N)
+
+    @pytest.mark.parametrize("shape", [(3, 6), (9, 6), (6, 6), (0, 4), (4, 0), (0, 0)])
+    @pytest.mark.parametrize("tol", [None, 0.0, 1e-3])
+    def test_stacked_read_off_matches_per_matrix_loop(self, shape, tol):
+        # The read-off of cutoffs, ranks and norms over the whole stack gives
+        # the fields, bit for bit, of a loop that reads one matrix at a time.
+        def reference(M, tol):
+            count, rows, n = M.shape
+            if min(rows, n) == 0:
+                s, Vt = np.zeros((count, 0)), np.tile(np.eye(n), (count, 1, 1))
+            else:
+                _, s, Vt = np.linalg.svd(M, full_matrices=rows < n)
+            out = []
+            for s_j, Vt_j in zip(s, Vt):
+                norm = float(s_j[0]) if s_j.size else 0.0
+                cut = norm * max(rows, n) * np.finfo(float).eps if tol is None else tol
+                rank = int(np.count_nonzero(s_j > cut))
+                row_tol = min(ROW_TOL_FACTOR * cut / float(s_j[rank - 1]), 0.5) if rank else 0.0
+                out.append((rank, Vt_j[rank:].T, float(cut), row_tol, norm))
+            return out
+
+        rng = np.random.default_rng(29)
+        rows, n = shape
+        stack = np.stack([
+            rng.standard_normal((rows, r)) @ rng.standard_normal((r, n)) for r in range(min(shape) + 1)
+        ] + [np.zeros(shape)])
+        got = null_bases(stack, tol)
+        want = reference(stack, tol)
+        assert len(got) == len(want) == len(stack)
+        for kern, (rank, N, cut, row_tol, norm) in zip(got, want):
+            assert (kern.rank, kern.tol, kern.row_tol, kern.norm) == (rank, cut, row_tol, norm)
+            assert [type(v) for v in kern[2:]] == [float] * 3 and type(kern.rank) is int
+            np.testing.assert_array_equal(kern.N, N)
+        assert null_bases(np.zeros((0, 3, 2)), tol) == []
 
     def test_hidden_ranks_match_each_kernel(self):
         # Kernels with null spaces of different dimensions share one call.
