@@ -160,13 +160,13 @@ def cmd_generic_index(args) -> dict:
 
 def cmd_attack(args) -> dict:
     system = require_lti(load_system(args.system))
-    x0 = _parse_vector(args.x0)
+    # x0 and the probe's arguments are all checked before the probe, the
+    # first to simulate, so a bad one exits 2 before any draw.
+    x0 = sim._initial_value(_parse_vector(args.x0), system.n)
     report = None
     if args.empirical_dp:
         if not args.adjacent:
             raise ValidationError("adjacent: --empirical-dp needs --adjacent 'x1,..;x2,..'")
-        # The probe checks its counts, bins, delta and horizon before it
-        # simulates, so it runs first: a bad one exits 2 before any draw.
         report = sim.empirical_dp_report(
             system,
             _parse_vectors(args.adjacent),

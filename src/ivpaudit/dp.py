@@ -156,21 +156,24 @@ class DpVerdict:
         }
 
 
+def _joint_covariance(noise, side: int) -> np.ndarray:
+    """General noise's Sigma_T, checked to have the horizon's side n*T + m*(T+1)."""
+    if noise.Sigma_T.shape[0] != side:
+        raise ValidationError(
+            f"noise.SigmaT: expected side {side} = n*T + m*(T+1) for this horizon, "
+            f"got {noise.Sigma_T.shape[0]}"
+        )
+    return noise.Sigma_T
+
+
 def stacked_noise_covariance(noise, H: np.ndarray) -> np.ndarray:
     """Covariance of H_T V_T + W_T for a given stacking map H_T."""
     rows = H.shape[0]
     if noise.kind == "iid":
         sigma = noise.sigma_nu**2 * (H @ H.T) + noise.sigma_omega**2 * np.eye(rows)
     else:
-        joint = noise.Sigma_T
-        expect = H.shape[1] + rows
-        if joint.shape[0] != expect:
-            raise ValidationError(
-                f"noise.SigmaT: expected side {expect} = n*T + m*(T+1) for this horizon, "
-                f"got {joint.shape[0]}"
-            )
         G = np.hstack([H, np.eye(rows)])
-        sigma = G @ joint @ G.T
+        sigma = G @ _joint_covariance(noise, H.shape[1] + rows) @ G.T
     return 0.5 * (sigma + sigma.T)
 
 

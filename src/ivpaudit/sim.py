@@ -35,7 +35,9 @@ state guard reports the exact earliest step.
 
 The empirical probe compares per-coordinate output histograms between
 adjacent initial values and extracts the worst-case likelihood-ratio bound
-that the samples support, which lower-bounds the true privacy loss.
+that the samples support, which lower-bounds the true privacy loss.  It
+makes one pass per output coordinate, which bins that coordinate and
+compares every ordered pair of initial values at once.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import numpy as np
 
 from ._util import derive_seed, integer, real
 from .errors import ConditioningError, ValidationError
-from .dp import _noise_covariance, _radius, q_function
+from .dp import _joint_covariance, _noise_covariance, _radius, q_function
 from .obsv import _output_power_blocks, null_basis, rank_tolerance
 from .sysmodel import LinearSystem, require_lti
 
@@ -191,16 +193,9 @@ def _noise_factor(sigma: np.ndarray) -> np.ndarray:
 
 def _general_factor(sys: LinearSystem, T: int) -> np.ndarray | None:
     """The factor of general noise's Sigma_T at horizon T; None for iid noise."""
-    noise = sys.noise
-    if noise.kind != "general":
+    if sys.noise.kind != "general":
         return None
-    side = sys.n * T + sys.m * (T + 1)
-    if noise.Sigma_T.shape[0] != side:
-        raise ValidationError(
-            f"noise.SigmaT: expected side {side} = n*T + m*(T+1) at T={T}, "
-            f"got {noise.Sigma_T.shape[0]}"
-        )
-    return _noise_factor(noise.Sigma_T)
+    return _noise_factor(_joint_covariance(sys.noise, sys.n * T + sys.m * (T + 1)))
 
 
 def _draw_noise(
@@ -306,6 +301,16 @@ def _simulate_chunk(
     return None, _Moments(stop - start, mean, dev.sum(axis=0))
 
 
+def _initial_value(x0, n: int, field: str = "x0") -> np.ndarray:
+    """x0 as a float vector of length n with finite entries; errors name ``field``."""
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if x0.shape[0] != n:
+        raise ValidationError(f"{field}: expected length {n}, got {x0.shape[0]}")
+    if not np.all(np.isfinite(x0)):
+        raise ValidationError(f"{field}: entries must be finite")
+    return x0
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -355,11 +360,7 @@ def _simulate(
     not grow with N.
     """
     require_lti(sys)
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != sys.n:
-        raise ValidationError(f"x0: expected length {sys.n}, got {x0.shape[0]}")
-    if not np.all(np.isfinite(x0)):
-        raise ValidationError("x0: entries must be finite")
+    x0 = _initial_value(x0, sys.n)
     N = integer(N, "N", 1)
     T = sys.n - 1 if T is None else integer(T, "T", 0)
     seed = integer(seed, "seed", 0)
@@ -556,15 +557,20 @@ def empirical_dp_report(
     pooled sample count len(x0_list) * N_runs, since each coordinate holds
     bins + 1 edges; edges are shared across initial values per coordinate
     (pooled data).  When ``d`` (> 0) is given, all pairs are checked to be
-    within the adjacency radius.
+    within the adjacency radius.  Every argument, each initial value's length
+    and finiteness included, is checked before anything is simulated.
+
+    One pass per output coordinate bins the pooled outputs, counts each
+    initial value's outputs in those cells, and compares all ordered pairs
+    (j, k), j != k, at once, as rows of (pairs x cells) arrays in j-major
+    order; ``violations`` lists (pair, coordinate) in coordinate order, then
+    that pair order.
     """
     require_lti(sys)
     x0s = [np.asarray(x, dtype=float).reshape(-1) for x in x0_list]
     if len(x0s) < 2:
         raise ValidationError("x0_list: need at least two initial values to compare")
-    for k, x in enumerate(x0s):
-        if x.shape[0] != sys.n:
-            raise ValidationError(f"x0_list[{k}]: expected length {sys.n}, got {x.shape[0]}")
+    x0s = [_initial_value(x, sys.n, f"x0_list[{k}]") for k, x in enumerate(x0s)]
     N_runs = integer(N_runs, "N_runs", 1)
     delta = real(delta, "delta")
     if not 0.0 <= delta < 0.5:
@@ -593,52 +599,33 @@ def empirical_dp_report(
     O_T = np.vstack(_output_power_blocks(sys.A, sys.C, T + 1))
     sigma = _noise_covariance(sys, O_T, T)
     means = [O_T @ x for x in x0s]
-    n_coords = sys.m * (T + 1)
+    # Every ordered pair (J[p], K[p]), j != k, in j-major order.
+    J, K = np.nonzero(~np.eye(len(x0s), dtype=bool))
+    decisive = max(min_count, DECISIVE_ZERO_COUNT)
 
-    edges_all = []
-    counts_all = []
-    for r in range(n_coords):
-        pooled = np.concatenate([b.Y[:, r] for b in batches])
-        edges = np.histogram_bin_edges(pooled, bins=bins)
+    edges_all, counts_all, eps_by_coord, violations = [], [], [], []
+    noise_bound = analytic_eps = 0.0
+    for r in range(sys.m * (T + 1)):
+        edges = np.histogram_bin_edges(np.concatenate([b.Y[:, r] for b in batches]), bins=bins)
         counts = np.vstack([np.histogram(b.Y[:, r], bins=edges)[0] for b in batches])
+        analytic = np.vstack(
+            [_analytic_cell_probs(float(mu[r]), float(sigma[r, r]), edges) for mu in means]
+        )
+        c_j, c_k = counts[J], counts[K]
+        excess = c_j / N_runs - delta
+        live = (c_j >= min_count) & (c_k >= min_count) & (excess > 0)
+        ratios = np.log(excess[live] / (c_k[live] / N_runs))
+        eps_by_coord.append(float(ratios.max(initial=0.0)))
+        spread = NOISE_BOUND_SIGMAS * np.sqrt(1.0 / c_j[live] + 1.0 / c_k[live])
+        noise_bound = max(noise_bound, float(spread.max(initial=0.0)))
+        a_excess, a_k = analytic[J] - delta, analytic[K]
+        a_ok = live & (a_excess > 0) & (a_k > 0)
+        a_ratios = np.log(a_excess[a_ok] / a_k[a_ok])
+        analytic_eps = max(analytic_eps, float(a_ratios.max(initial=0.0)))
+        disjoint = ((c_j >= decisive) & (c_k == 0) & (excess > 0)).any(axis=1)
+        violations.extend(((j, k), r) for j, k in zip(J[disjoint].tolist(), K[disjoint].tolist()))
         edges_all.append(edges)
         counts_all.append(counts)
-
-    total = float(N_runs)
-    eps_by_coord = np.zeros(n_coords)
-    noise_bound = 0.0
-    analytic_eps = 0.0
-    violations = []
-    for r in range(n_coords):
-        counts = counts_all[r]
-        probs = counts / total
-        analytic = np.vstack(
-            [_analytic_cell_probs(float(means[j][r]), float(sigma[r, r]), edges_all[r])
-             for j in range(len(x0s))]
-        )
-        for j in range(len(x0s)):
-            for k in range(len(x0s)):
-                if j == k:
-                    continue
-                admissible = (counts[j] >= min_count) & (counts[k] >= min_count)
-                excess = probs[j] - delta
-                live = admissible & (excess > 0)
-                if np.any(live):
-                    ratios = np.log(excess[live] / probs[k][live])
-                    eps_by_coord[r] = max(eps_by_coord[r], float(ratios.max(initial=0.0)))
-                    spread = NOISE_BOUND_SIGMAS * np.sqrt(
-                        1.0 / counts[j][live] + 1.0 / counts[k][live]
-                    )
-                    noise_bound = max(noise_bound, float(spread.max(initial=0.0)))
-                    a_excess = analytic[j][live] - delta
-                    a_ok = (a_excess > 0) & (analytic[k][live] > 0)
-                    if np.any(a_ok):
-                        a_ratios = np.log(a_excess[a_ok] / analytic[k][live][a_ok])
-                        analytic_eps = max(analytic_eps, float(a_ratios.max(initial=0.0)))
-                decisive = max(min_count, DECISIVE_ZERO_COUNT)
-                disjoint = (counts[j] >= decisive) & (counts[k] == 0) & (excess > 0)
-                if np.any(disjoint):
-                    violations.append(((j, k), r))
 
     return EmpiricalDpReport(
         x0_list=tuple(x0s),
@@ -649,8 +636,8 @@ def empirical_dp_report(
         min_count=min_count,
         bin_edges=tuple(edges_all),
         counts=tuple(counts_all),
-        eps_hat=float(eps_by_coord.max(initial=0.0)),
-        eps_hat_by_coord=tuple(float(v) for v in eps_by_coord),
+        eps_hat=max(eps_by_coord, default=0.0),
+        eps_hat_by_coord=tuple(eps_by_coord),
         noise_bound=noise_bound,
         analytic_eps=analytic_eps,
         dp_violation=bool(violations),

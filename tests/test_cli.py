@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from importlib.resources import files
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -485,6 +486,30 @@ class TestAttack:
             assert err.startswith("error: bins: ")
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "x0, adjacent, field",
+        [
+            ("2,1", "1,2;nan,1", "x0_list[1]"),
+            ("2,1", "1,2;1,inf", "x0_list[1]"),
+            ("nan,2", "1.4,1.7;1.6,1.8", "x0"),
+            ("2,-inf", "1.4,1.7;1.6,1.8", "x0"),
+        ],
+    )
+    def test_non_finite_initial_value_exits_before_simulating(
+        self, capsys, monkeypatch, file_line2_first, x0, adjacent, field
+    ):
+        calls = count_draws(monkeypatch)
+        code, out, err = run_cli(
+            capsys,
+            [
+                "attack", "--system", file_line2_first, "--x0", x0, "--N", "10", "--seed", "4",
+                "--empirical-dp", "--adjacent", adjacent, "--runs", "1000",
+            ],
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {field}: entries must be finite")
+        assert calls == []
+
     def test_attack_and_audit_agree_on_dense_system(self, capsys, tmp_path):
         # A dense n = 30 draw on which a separate SVD of O_T (T = 60) found a
         # null direction that the audit's O_ob does not have.
@@ -548,6 +573,19 @@ class TestSimulate:
             ["simulate", "--system", file_line2_sum, "--x0", "a,b", "--N", "5", "--seed", "1"],
         )
         assert code == 2
+
+    def test_sigma_t_of_another_horizon_exits_2(self, capsys, monkeypatch, tmp_path):
+        # Sigma_T is 7 x 7, the side n*T + m*(T+1) at T = 1, not at T = 2.
+        path = str(tmp_path / "general.json")
+        ivpaudit.save_system(general_noise_system(1), path)
+        calls = count_draws(monkeypatch)
+        code, out, err = run_cli(
+            capsys,
+            ["simulate", "--system", path, "--x0", "1,1,1", "--N", "5", "--T", "2", "--seed", "1"],
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: noise.SigmaT: expected side 12 ")
+        assert calls == []
 
     def test_structure_file_rejected_as_system(self, capsys, file_struct_line3):
         code, _, err = run_cli(
@@ -652,7 +690,7 @@ class TestReleaseMoments:
         assert json.dumps(payload, indent=2) + "\n" == plain
         want_path = tmp_path / "library.csv"
         sim.batch_to_csv(ivpaudit.simulate(system, [0.1, 0.2, 0.7], N, T, seed=11), want_path)
-        assert open(csv_path, "rb").read() == want_path.read_bytes()
+        assert Path(csv_path).read_bytes() == want_path.read_bytes()
 
     @pytest.mark.parametrize("cpus", [None, 64], ids=["machine-cpus", "64-cpus"])
     def test_no_csv_holds_no_output_array(self, capsys, monkeypatch, file_line2_first, cpus):

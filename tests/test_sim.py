@@ -3,6 +3,7 @@
 import concurrent.futures
 import csv
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -29,8 +30,10 @@ from ivpaudit import (
     simulate,
 )
 from ivpaudit import sim
-from ivpaudit.obsv import null_basis
-from ivpaudit.sim import _noise_factor
+from ivpaudit._util import derive_seed
+from ivpaudit.dp import _noise_covariance
+from ivpaudit.obsv import _output_power_blocks, null_basis
+from ivpaudit.sim import EmpiricalDpReport, _noise_factor
 from conftest import (
     chunk_rows,
     count_draws,
@@ -678,6 +681,18 @@ class TestEmpiricalDp:
                 sys_line2_first, [[0.0, 0.0], [3.0, 0.0]], N_runs=100, d=1.0
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_initial_value_refused_before_any_draw(
+        self, monkeypatch, sys_line2_first, bad
+    ):
+        # With d = 1, a NaN value is within no adjacency radius, yet NaN > d is false.
+        calls = count_draws(monkeypatch)
+        with pytest.raises(ValidationError, match=r"^x0_list\[1\]: entries must be finite"):
+            empirical_dp_report(sys_line2_first, [[1.0, 2.0], [bad, 1.0]], N_runs=1000, d=1.0)
+        with pytest.raises(ValidationError, match=r"^x0: entries must be finite"):
+            simulate(sys_line2_first, [bad, 1.0], N=10)
+        assert calls == []
+
     def test_argument_validation(self, sys_line2_first):
         with pytest.raises(ValidationError, match="two initial values"):
             empirical_dp_report(sys_line2_first, [[2.0, 1.0]], N_runs=100)
@@ -693,6 +708,135 @@ class TestEmpiricalDp:
             empirical_dp_report(
                 sys_line2_first, [[2.0, 1.0], [2.1, 1.0]], N_runs=10, bins=0
             )
+
+
+def reference_probe(system, x0s, N_runs, bins, seed, delta, min_count, T):
+    """The probe's earlier two-pass form: one loop bins every coordinate, a
+    second reads the bins back and compares each ordered pair in a Python loop."""
+    x0s = [np.asarray(x, dtype=float) for x in x0s]
+    bins = "fd" if bins is None else bins
+    batches = [
+        simulate(system, x, N_runs, T, seed=derive_seed(seed, j)) for j, x in enumerate(x0s)
+    ]
+    O_T = np.vstack(_output_power_blocks(system.A, system.C, T + 1))
+    sigma = _noise_covariance(system, O_T, T)
+    means = [O_T @ x for x in x0s]
+    n_coords = system.m * (T + 1)
+
+    edges_all = []
+    counts_all = []
+    for r in range(n_coords):
+        pooled = np.concatenate([b.Y[:, r] for b in batches])
+        edges = np.histogram_bin_edges(pooled, bins=bins)
+        counts = np.vstack([np.histogram(b.Y[:, r], bins=edges)[0] for b in batches])
+        edges_all.append(edges)
+        counts_all.append(counts)
+
+    total = float(N_runs)
+    eps_by_coord = np.zeros(n_coords)
+    noise_bound = 0.0
+    analytic_eps = 0.0
+    violations = []
+    for r in range(n_coords):
+        counts = counts_all[r]
+        probs = counts / total
+        analytic = np.vstack(
+            [sim._analytic_cell_probs(float(means[j][r]), float(sigma[r, r]), edges_all[r])
+             for j in range(len(x0s))]
+        )
+        for j in range(len(x0s)):
+            for k in range(len(x0s)):
+                if j == k:
+                    continue
+                admissible = (counts[j] >= min_count) & (counts[k] >= min_count)
+                excess = probs[j] - delta
+                live = admissible & (excess > 0)
+                if np.any(live):
+                    ratios = np.log(excess[live] / probs[k][live])
+                    eps_by_coord[r] = max(eps_by_coord[r], float(ratios.max(initial=0.0)))
+                    spread = sim.NOISE_BOUND_SIGMAS * np.sqrt(
+                        1.0 / counts[j][live] + 1.0 / counts[k][live]
+                    )
+                    noise_bound = max(noise_bound, float(spread.max(initial=0.0)))
+                    a_excess = analytic[j][live] - delta
+                    a_ok = (a_excess > 0) & (analytic[k][live] > 0)
+                    if np.any(a_ok):
+                        a_ratios = np.log(a_excess[a_ok] / analytic[k][live][a_ok])
+                        analytic_eps = max(analytic_eps, float(a_ratios.max(initial=0.0)))
+                decisive = max(min_count, sim.DECISIVE_ZERO_COUNT)
+                disjoint = (counts[j] >= decisive) & (counts[k] == 0) & (excess > 0)
+                if np.any(disjoint):
+                    violations.append(((j, k), r))
+
+    return EmpiricalDpReport(
+        x0_list=tuple(x0s),
+        N_runs=N_runs,
+        T=T,
+        seed=seed,
+        delta=delta,
+        min_count=min_count,
+        bin_edges=tuple(edges_all),
+        counts=tuple(counts_all),
+        eps_hat=float(eps_by_coord.max(initial=0.0)),
+        eps_hat_by_coord=tuple(float(v) for v in eps_by_coord),
+        noise_bound=noise_bound,
+        analytic_eps=analytic_eps,
+        dp_violation=bool(violations),
+        violations=tuple(violations),
+    )
+
+
+def probe_sweep_noise(kind: str, rng, n: int, m: int, T: int) -> NoiseModel:
+    """"iid"; "y0-exact" (sigma_omega = 0, so every output at t = 0 has zero
+    variance); "noise-free" (every output has zero variance); "general"."""
+    if kind == "general":
+        side = n * T + m * (T + 1)
+        root = rng.standard_normal((side, side))
+        return NoiseModel.general(root @ root.T / side)
+    return {
+        "iid": NoiseModel.iid(0.8, 0.5),
+        "y0-exact": NoiseModel.iid(0.8, 0.0),
+        "noise-free": NoiseModel.iid(0.0, 0.0),
+    }[kind]
+
+
+class TestProbeMatchesReference:
+    N_RUNS = 300
+
+    def test_sweep_is_identical(self):
+        # Every combination of delta, min_count (1, or one above most cells'
+        # counts and above DECISIVE_ZERO_COUNT, so it sets the decisive count),
+        # FD or fixed bins, and noise, twice, at random n 1-4, m 1-2, T 0-2
+        # and 2-4 initial values.
+        combos = itertools.product(
+            [0.0, 0.01], [1, self.N_RUNS // 2 + 1], [None, 7],
+            ["iid", "y0-exact", "noise-free", "general"], range(2),
+        )
+        mismatches, violated = [], 0
+        for case, (delta, min_count, bins, kind, _) in enumerate(combos):
+            rng = np.random.default_rng(case)
+            n, m, T, k = (int(v) for v in rng.integers([1, 1, 0, 2], [5, 3, 3, 5]))
+            system = LinearSystem(
+                n=n, m=m, A=rng.standard_normal((n, n)) / np.sqrt(n),
+                C=rng.standard_normal((m, n)), noise=probe_sweep_noise(kind, rng, n, m, T),
+            )
+            # The first value, then values near it, far from it, or equal to it.
+            scales = rng.choice([0.0, 0.3, 3.0], size=(k - 1, 1))
+            base = rng.standard_normal(n)
+            x0s = [base] + list(base + scales * rng.standard_normal((k - 1, n)))
+            kwargs = dict(bins=bins, seed=case, delta=delta, min_count=min_count, T=T)
+            want = reference_probe(system, x0s, self.N_RUNS, **kwargs)
+            got = empirical_dp_report(system, x0s, self.N_RUNS, **kwargs)
+            violated += want.dp_violation
+            if (
+                got.to_dict() != want.to_dict()
+                or len(got.bin_edges) != len(want.bin_edges)
+                or not all(np.array_equal(a, b) for a, b in zip(got.bin_edges, want.bin_edges))
+                or not all(np.array_equal(a, b) for a, b in zip(got.counts, want.counts))
+            ):
+                mismatches.append(case)
+        assert mismatches == []
+        assert violated >= 10  # the order of ``violations`` is compared, not only its absence
 
 
 class TestCsvExports:

@@ -21,6 +21,7 @@ from ivpaudit import (
     TimeVaryingSystem,
     calibrate_sigma_omega,
     check_dp,
+    effective_covariance,
     mle_attack,
     node_private,
     numerical_rank,
@@ -29,12 +30,16 @@ from ivpaudit import (
     simulate,
     whole_vector_private,
 )
+from conftest import general_noise_system
 
 ADJACENT = [[2.0, 1.0], [2.1, 1.0]]
 BUDGET = DpBudget(epsilon=1.0, delta=0.05, d=1.0, N=1)
 TIME_VARYING = TimeVaryingSystem(
     n=2, m=1, A_seq=([[0.0, 1.0], [0.0, -1.0]],), C_seq=([[1.0, 0.0]], [[1.0, 0.0]])
 )
+# General noise with a 7 x 7 Sigma_T: the side n*T + m*(T+1) at T = 1, while
+# T = 2 (also the default n - 1) needs 12.
+GENERAL_T1 = general_noise_system(1)
 
 # (field named by the error, call on the sys_line2_first and struct_line3 fixtures)
 BAD_SCALARS = [
@@ -70,6 +75,24 @@ BAD_SCALARS = [
         "noise.sigma_nu",
         lambda s, g: NoiseModel(kind="general", Sigma_T=[[1.0]], sigma_nu="abc"),
         id="general-sigma-str",
+    ),
+    pytest.param(
+        "noise.SigmaT", lambda s, g: simulate(GENERAL_T1, [1.0, 0.0, 0.0], N=1, T=2),
+        id="sigma-t-simulate",
+    ),
+    pytest.param(
+        "noise.SigmaT",
+        lambda s, g: empirical_dp_report(GENERAL_T1, [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], N_runs=10),
+        id="sigma-t-probe",
+    ),
+    pytest.param(
+        "noise.SigmaT",
+        lambda s, g: check_dp(GENERAL_T1, DpBudget(epsilon=1.0, delta=0.05, d=1.0, N=1, T=2)),
+        id="sigma-t-check-dp",
+    ),
+    pytest.param(
+        "noise.SigmaT", lambda s, g: effective_covariance(GENERAL_T1, T=2),
+        id="sigma-t-effective-covariance",
     ),
     # Rank, budget and simulation layers read A and C: a time-varying system is refused.
     pytest.param("system", lambda s, g: privacy_index_bruteforce(TIME_VARYING), id="tv-bruteforce"),
