@@ -113,13 +113,12 @@ class IndexReport:
         return out
 
 
-def _build_eta(O_ob: np.ndarray, kern: NullBasis, i: int, P: DisclosureSet) -> np.ndarray:
+def _build_eta(O_ob: np.ndarray, kern: NullBasis, i: int, P: DisclosureSet, B) -> np.ndarray:
     """Direction eta with eta_i = 1, eta = 0 on P, O_ob @ eta ~ 0.
 
-    Projects e_i onto the null directions of O_ob that vanish on P, which
-    gives the shortest such eta.
+    The orthonormal columns of B span the null directions of O_ob that vanish
+    on P; projecting e_i onto them gives the shortest such eta.
     """
-    B = kern.vanishing_on(P.nodes)
     eta = B @ B[i]
     eta /= eta[i]
     eta[list(P.nodes)] = 0.0
@@ -136,13 +135,15 @@ def _build_eta(O_ob: np.ndarray, kern: NullBasis, i: int, P: DisclosureSet) -> n
 def _evaluate_node(O_ob, kern: NullBasis, i: int, P: DisclosureSet, condition, want_eta):
     """Node i is private iff row i of the null basis adds rank to the rows at P.
 
-    Conditions b, c and c_prime are identities of these ranks, so
-    ``condition`` only names the certificate.
+    A hidden rank is n - |rows| - k + rank(N_rows).  One null basis of N_P
+    serves rank(N_P) and eta.  Conditions b, c and c_prime are identities of
+    these ranks, so ``condition`` only names the certificate.
     """
-    rank_Opbar = kern.hidden_rank(P.nodes)
-    rank_minus_i = kern.hidden_rank(P.nodes + (i,))
+    on_P = null_basis(kern.N[list(P.nodes)], kern.row_tol)
+    rank_Opbar = kern.N.shape[0] - len(P) - kern.N.shape[1] + on_P.rank
+    rank_minus_i = rank_Opbar - 1 + int(kern.row_ranks(np.array([P.nodes + (i,)]))[0]) - on_P.rank
     private = rank_minus_i == rank_Opbar
-    eta = _build_eta(O_ob, kern, i, P) if private and want_eta else None
+    eta = _build_eta(O_ob, kern, i, P, kern.N @ on_P.N) if private and want_eta else None
     return PrivacyVerdict(
         node=i,
         P=P,

@@ -11,14 +11,14 @@ block-triangular Toeplitz map with block (i, j) = C A^(i-j-1) for i > j.
 
 ``build_bundle`` stacks O_T only.  H_T is m(T+1) x nT (511 MB at n = 400,
 m = 1) and no verdict or privacy budget reads it (the noise covariance
-follows from O_T, see ``dp``), so a bundle builds H_T on first read of
-``bundle.H_T``.
+follows from O_T, see ``dp``), so a bundle copies H_T out of O_T's block
+rows on first read of ``bundle.H_T``.
 
 ``null_basis`` is the one rank kernel: a single SVD of O_ob gives its rank
-and an orthonormal null basis N, and every verdict in ``intrinsic``,
-``generic`` and ``sim`` is read off N (see ``NullBasis``).  ``null_bases``
-is the same kernel over a stack of matrices, of which ``null_basis`` is the
-one-matrix case, and ``hidden_ranks`` reads many bases at once.
+and an orthonormal null basis N.  ``null_bases`` is the same kernel over a
+stack of matrices.  Every verdict in ``intrinsic``, ``generic`` and ``sim``
+is read off N: ``NullBasis.row_ranks`` ranks row subsets of one basis, and
+``hidden_ranks`` ranks the columns outside a set of rows for many bases.
 """
 
 from __future__ import annotations
@@ -72,35 +72,37 @@ def stacked_maps(A: np.ndarray, C: np.ndarray, T: int) -> tuple[np.ndarray, np.n
     first block row.
     """
     T = integer(T, "T", 0)
-    n = A.shape[0]
-    m = C.shape[0]
-    blocks = _output_power_blocks(A, C, T + 1)
-    O_T = np.vstack(blocks)
-    H_T = np.zeros((m * (T + 1), n * T))
-    for i in range(1, T + 1):
-        for j in range(i):
-            H_T[i * m:(i + 1) * m, j * n:(j + 1) * n] = blocks[i - j - 1]
-    return O_T, H_T
+    O_T = np.vstack(_output_power_blocks(A, C, T + 1))
+    return O_T, _noise_map(O_T, T)
+
+
+def _noise_map(O_T: np.ndarray, T: int) -> np.ndarray:
+    """H_T copied out of the block rows of O_T: block (i, j) is block row
+    i - j - 1 for i > j, so block column j is O_T's first T - j block rows."""
+    rows, n = O_T.shape
+    m = rows // (T + 1)
+    H_T = np.zeros((rows, n * T))
+    for j in range(T):
+        H_T[(j + 1) * m:, j * n:(j + 1) * n] = O_T[: rows - (j + 1) * m]
+    return H_T
 
 
 @dataclass(frozen=True, eq=False)
 class ObservabilityBundle:
     """O_ob and O_T for one system and horizon (T >= n-1).
 
-    ``H_T`` is built from ``A`` and ``C`` on first read, frozen and cached.
+    ``H_T`` is copied out of O_T's block rows on first read, frozen and cached.
     """
 
     n: int
     m: int
     T: int
-    A: np.ndarray
-    C: np.ndarray
     O_ob: np.ndarray
     O_T: np.ndarray
 
     @functools.cached_property
     def H_T(self) -> np.ndarray:
-        H_T = stacked_maps(self.A, self.C, self.T)[1]
+        H_T = _noise_map(self.O_T, self.T)
         H_T.flags.writeable = False
         return H_T
 
@@ -113,10 +115,8 @@ def build_bundle(sys: LinearSystem, T: int | None = None) -> ObservabilityBundle
     if T < n - 1:
         raise ValidationError(f"T: horizon must be >= n-1 = {n - 1}, got {T}")
     O_T = np.vstack(_output_power_blocks(sys.A, sys.C, T + 1))
-    O_ob = O_T[: sys.m * n, :]
-    for M in (O_ob, O_T):
-        M.flags.writeable = False
-    return ObservabilityBundle(n=n, m=sys.m, T=T, A=sys.A, C=sys.C, O_ob=O_ob, O_T=O_T)
+    O_T.flags.writeable = False  # O_ob, a view, is read-only too
+    return ObservabilityBundle(n=n, m=sys.m, T=T, O_ob=O_T[: sys.m * n], O_T=O_T)
 
 
 def build_tv_observability(sys: TimeVaryingSystem, T: int | None = None) -> np.ndarray:
@@ -198,15 +198,6 @@ class NullBasis(NamedTuple):
         from one stacked SVD (see :func:`_stacked_ranks`)."""
         return _stacked_ranks(self.N[rows], self.row_tol)
 
-    def hidden_rank(self, rows) -> int:
-        """Rank of the columns of M outside ``rows``: n - |rows| minus the
-        k - rank(N_rows) null directions that vanish on ``rows``."""
-        return hidden_ranks([self], rows)[0]
-
-    def vanishing_on(self, rows) -> np.ndarray:
-        """Orthonormal basis of the null vectors of M that are zero at ``rows``."""
-        return self.N @ null_basis(self.N[list(rows)], self.row_tol).N
-
 
 def _stacked_ranks(M: np.ndarray, tol) -> np.ndarray:
     """Number of singular values above ``tol`` of each matrix in the stack M.
@@ -224,8 +215,8 @@ def _stacked_ranks(M: np.ndarray, tol) -> np.ndarray:
 
 
 def hidden_ranks(kernels: list[NullBasis], rows) -> list[int]:
-    """``NullBasis.hidden_rank(rows)`` of every kernel, with one stacked SVD
-    of the rows of N per null-space dimension k."""
+    """Rank of the columns of M outside ``rows``, n - |rows| - k + rank(N_rows),
+    for every kernel, from one stacked SVD of the rows of N per k."""
     out = [0] * len(kernels)
     by_k: dict[int, list[int]] = {}
     for j, kern in enumerate(kernels):

@@ -212,23 +212,36 @@ def require_lti(sys) -> LinearSystem:
     return sys
 
 
-def _check_edges(edges, n_src: int, n_dst: int, path: str, src_name: str, dst_name: str):
+def _check_edges(edges, n_src: int, n_dst: int, path: str, src_name: str, dst_name: str,
+                 base: int = 0):
+    """``edges`` as 0-based pairs; indices in ``edges`` and in errors count from ``base``."""
     seen = set()
     out = []
     for k, pair in enumerate(edges):
         pair = tuple(pair)
         if len(pair) != 2:
             raise ValidationError(f"{path}[{k}]: expected a (source, target) pair, got {pair!r}")
-        src, dst = (integer(v, f"{path}[{k}]") for v in pair)
-        if not 0 <= src < n_src:
-            raise ValidationError(f"{path}[{k}]: {src_name} index {src} out of range [0, {n_src - 1}]")
-        if not 0 <= dst < n_dst:
-            raise ValidationError(f"{path}[{k}]: {dst_name} index {dst} out of range [0, {n_dst - 1}]")
+        src, dst = pair
+        if type(src) is not int or type(dst) is not int:  # plain ints skip the formatting
+            src, dst = (integer(v, f"{path}[{k}]") for v in pair)
+        for index, name, count in ((src, src_name, n_src), (dst, dst_name, n_dst)):
+            if not base <= index < count + base:
+                raise ValidationError(
+                    f"{path}[{k}]: {name} index {index} out of range [{base}, {count - 1 + base}]"
+                )
         if (src, dst) in seen:
             raise ValidationError(f"{path}[{k}]: duplicate entry {pair!r}")
         seen.add((src, dst))
-        out.append((src, dst))
+        out.append((src - base, dst - base))
     return out
+
+
+def _check_sensors_covered(sensor_edges, m: int, path: str, base: int = 0) -> None:
+    """Each of the m sensors has an edge in the 0-based ``sensor_edges``."""
+    covered = {s for _, s in sensor_edges}
+    for s in range(m):
+        if s not in covered:
+            raise ValidationError(f"{path}: sensor {s + base} has no incident edge")
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,10 +268,7 @@ class NetworkStructure:
         sensor_edges = _check_edges(
             self.sensor_edges, self.n, self.m, "sensor_edges", "source node", "sensor"
         )
-        covered = {s for _, s in sensor_edges}
-        for s in range(self.m):
-            if s not in covered:
-                raise ValidationError(f"sensor_edges: sensor {s} has no incident edge")
+        _check_sensors_covered(sensor_edges, self.m, "sensor_edges")
         edges.sort(key=lambda e: (e[1], e[0]))
         sensor_edges.sort(key=lambda e: (e[1], e[0]))
         object.__setattr__(self, "edges", tuple(edges))
@@ -435,29 +445,26 @@ def _require(raw: dict, *names: str) -> None:
 
 
 def _parse_structure(raw: dict, n: int, m: int, path: str = "structure") -> NetworkStructure:
+    """The "structure" block, checked in the file's 1-based terms."""
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: expected an object")
+    n, m = integer(n, "n", 1), integer(m, "m", 1)
     for name in ("edges", "sensor_edges"):
         if name not in raw:
             raise ValidationError(f"{path}.{name}: missing")
         if not isinstance(raw[name], list):
             raise ValidationError(f"{path}.{name}: expected a list of pairs")
-    def shift(pairs, name):
-        out = []
-        for k, pair in enumerate(pairs):
+        for k, pair in enumerate(raw[name]):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ValidationError(f"{path}.{name}[{k}]: expected a pair, got {pair!r}")
-            a, b = (integer(v, f"{path}.{name}[{k}]") for v in pair)
-            if a < 1 or b < 1:
+            a, b = pair  # _check_edges rejects what is not an integer
+            if type(a) is int and a < 1 or type(b) is int and b < 1:
                 raise ValidationError(f"{path}.{name}[{k}]: file indices are 1-based, got {pair!r}")
-            out.append((a - 1, b - 1))
-        return out
-    return NetworkStructure(
-        n=n,
-        m=m,
-        edges=tuple(shift(raw["edges"], "edges")),
-        sensor_edges=tuple(shift(raw["sensor_edges"], "sensor_edges")),
-    )
+    edges = _check_edges(raw["edges"], n, n, f"{path}.edges", "source node", "target node", 1)
+    sensors = f"{path}.sensor_edges"
+    sensor_edges = _check_edges(raw["sensor_edges"], n, m, sensors, "source node", "sensor", 1)
+    _check_sensors_covered(sensor_edges, m, sensors, 1)
+    return NetworkStructure(n=n, m=m, edges=tuple(edges), sensor_edges=tuple(sensor_edges))
 
 
 def _load_json(path) -> dict:

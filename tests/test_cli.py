@@ -372,6 +372,27 @@ class TestGeneric:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "m, edges, sensor_edges, message",
+        [
+            (1, [[1, 9]], [[1, 1]], "structure.edges[0]: target node index 9 out of range [1, 2]"),
+            (1, [[1, 1], [1, 1]], [[1, 1]], "structure.edges[1]: duplicate entry (1, 1)"),
+            (1, [], [[1, 3]], "structure.sensor_edges[0]: sensor index 3 out of range [1, 1]"),
+            (2, [], [[1, 1]], "structure.sensor_edges: sensor 2 has no incident edge"),
+        ],
+        ids=["node-range", "duplicate", "sensor-range", "uncovered-sensor"],
+    )
+    def test_structure_file_errors_in_file_terms(
+        self, capsys, tmp_path, m, edges, sensor_edges, message
+    ):
+        # Paths and indices are those of the file: 1-based, under "structure".
+        path = write_system_file(
+            tmp_path, "bad.json", {"n": 2, "m": m, "edges": edges, "sensor_edges": sensor_edges}
+        )
+        code, out, err = run_cli(capsys, ["generic-index", "--structure", path, "--seed", "7"])
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
 
 class TestAttack:
     def test_non_identifiable_payload(self, capsys, file_line2_sum):

@@ -22,7 +22,7 @@ from ivpaudit import (
 from ivpaudit import generic
 from ivpaudit._util import derive_seed
 from ivpaudit.cli import main
-from ivpaudit.obsv import null_basis
+from ivpaudit.obsv import hidden_ranks, null_basis
 from conftest import TREE4_SPECIAL_THETA, random_structure
 
 
@@ -200,7 +200,7 @@ def sample_kernel(structure, seed, step, k, signed):
 
 def reference_estimate(structure, P, samples, seed, signed):
     ranks = [
-        sample_kernel(structure, seed, 0, k, signed).hidden_rank(P) for k in range(samples)
+        hidden_ranks([sample_kernel(structure, seed, 0, k, signed)], P)[0] for k in range(samples)
     ]
     best = max(ranks)
     return {"n_P_ob": best, "samples": samples, "seed": seed,
@@ -213,8 +213,8 @@ def reference_verdict(structure, i, P, samples, seed, signed):
     observed = False
     for k in range(samples):
         kern = sample_kernel(structure, seed, 1, k, signed)
-        hidden = kern.hidden_rank(P)
-        private = kern.hidden_rank(P + (i,)) == hidden
+        hidden = hidden_ranks([kern], P)[0]
+        private = hidden_ranks([kern], P + (i,))[0] == hidden
         observed |= hidden + private == estimate["n_P_ob"] + 1
     return {"node": i, "P": list(P), "generically_private": observed,
             "event_E_observed": observed,

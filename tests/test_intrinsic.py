@@ -19,8 +19,8 @@ from ivpaudit import (
     sample_configuration,
     whole_vector_private,
 )
-from ivpaudit import intrinsic
-from ivpaudit.obsv import NullBasis, build_bundle, null_basis
+from ivpaudit import ConditioningError, intrinsic
+from ivpaudit.obsv import NullBasis, build_bundle, hidden_ranks, null_basis
 from conftest import (
     TREE4_SPECIAL_THETA,
     random_system,
@@ -354,3 +354,74 @@ class TestConditionEquivalence:
         cases, private_cases = sweep_condition_equivalence(50, seed=3003)
         assert cases == 50
         assert private_cases > 0
+
+
+def reference_node_dict(system, i, P, condition, rank_tol, want_eta) -> dict:
+    """Node verdict with each rank from its own SVD of the rows of N: rank(N_P)
+    and rank(N_{P+i}) for the verdict, and a third for the certificate eta."""
+    O_ob = build_bundle(system).O_ob
+    kern = null_basis(O_ob, rank_tol)
+    rank_Opbar = hidden_ranks([kern], P)[0]
+    rank_minus_i = hidden_ranks([kern], P + (i,))[0]
+    private = rank_minus_i == rank_Opbar
+    out = {
+        "node": i,
+        "P": list(P),
+        "private": private,
+        "ranks": {
+            "rank_Opbar": rank_Opbar,
+            "rank_minus_i": rank_minus_i,
+            "rank_with_ei": rank_Opbar + private,
+        },
+        "certified_by": "b" if condition == "all" else condition,
+    }
+    if private and want_eta:
+        B = kern.N @ null_basis(kern.N[list(P)], kern.row_tol).N
+        eta = B @ B[i]
+        eta /= eta[i]
+        eta[list(P)] = 0.0
+        scale = kern.norm * max(1.0, float(np.linalg.norm(eta)))
+        residual = float(np.linalg.norm(O_ob @ eta))
+        if not residual <= intrinsic.ETA_RESIDUAL_RTOL * max(scale, np.finfo(float).tiny):
+            raise ConditioningError(
+                f"certificate residual {residual:.3e} exceeds tolerance; "
+                "rank decision is too close to the cutoff"
+            )
+        out["eta"] = [float(v) for v in eta]
+    return out
+
+
+def outcome(fn, *args):
+    """fn(*args), or the message of the ConditioningError it raised."""
+    try:
+        return fn(*args)
+    except ConditioningError as exc:
+        return ("ConditioningError", str(exc))
+
+
+class TestNodeMatchesReference:
+    """One null basis of N_P serves the verdict and eta, with the verdicts,
+    ranks and certificates of separate SVDs, bit for bit."""
+
+    def test_verdicts_equal_separate_svds(self):
+        # Disclosure sets: empty, drawn, and every node but i.  rank_tol 1e-3
+        # also reaches certificates whose residual check fails.
+        rng = np.random.default_rng(2300)
+        outcomes = []
+        for _ in range(120):
+            system = random_system(rng, n_min=2, n_max=16)
+            n = system.n
+            i = int(rng.integers(n))
+            others = [j for j in range(n) if j != i]
+            drawn = rng.choice(others, size=int(rng.integers(0, n)), replace=False)
+            for P in ((), tuple(int(j) for j in drawn), tuple(others)):
+                for rank_tol in (None, 0.0, 1e-3):
+                    condition = str(rng.choice(["b", "c", "c_prime", "all"]))
+                    for want_eta in (True, False):
+                        args = (system, i, P, condition, rank_tol, want_eta)
+                        got = outcome(lambda: node_private(*args).to_dict())
+                        want = outcome(reference_node_dict, *args)
+                        assert got == want
+                        outcomes.append(want)
+        assert sum(isinstance(o, dict) and "eta" in o for o in outcomes) >= 30
+        assert sum(isinstance(o, tuple) for o in outcomes) >= 5

@@ -23,7 +23,15 @@ from ivpaudit import (
     sample_configuration,
     select_columns,
 )
-from ivpaudit.obsv import ROW_TOL_FACTOR, NullBasis, hidden_ranks, null_bases, null_basis
+from ivpaudit.obsv import (
+    ROW_TOL_FACTOR,
+    NullBasis,
+    _output_power_blocks,
+    hidden_ranks,
+    null_bases,
+    null_basis,
+    stacked_maps,
+)
 from conftest import sweep_hidden_rank_identity
 
 
@@ -106,6 +114,29 @@ class TestBundle:
             np.testing.assert_allclose(
                 bundle.O_T, tree4_observability_poly(theta), rtol=0, atol=1e-12
             )
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_noise_map_is_a_copy_of_the_power_blocks(self, m):
+        # H_T is read off O_T's block rows; block (i, j) must be C A^(i-j-1)
+        # bit for bit, from stacked_maps and from a bundle alike.
+        rng = np.random.default_rng(41 + m)
+        n = 4
+        A = rng.standard_normal((n, n))
+        C = rng.standard_normal((m, n))
+        system = LinearSystem(n=n, m=m, A=A, C=C)
+        for T in (0, 1, n - 1, n + 3):
+            blocks = _output_power_blocks(A, C, T + 1)
+            want = np.zeros((m * (T + 1), n * T))
+            for i in range(1, T + 1):
+                for j in range(i):
+                    want[i * m:(i + 1) * m, j * n:(j + 1) * n] = blocks[i - j - 1]
+            O_T, H_T = stacked_maps(A, C, T)
+            assert O_T.tobytes() == np.vstack(blocks).tobytes()
+            assert H_T.shape == want.shape and H_T.tobytes() == want.tobytes()
+            if T >= n - 1:
+                bundle = build_bundle(system, T)
+                assert bundle.H_T.tobytes() == want.tobytes()
+                assert not (bundle.O_T.flags.writeable or bundle.O_ob.flags.writeable)
 
     def test_toeplitz_blocks_match_matrix_power(self):
         rng = np.random.default_rng(7)
@@ -268,7 +299,7 @@ class TestNullBasis:
                 assert ranks.shape == (len(sets),)
                 for P, rank in zip(sets, ranks):
                     assert rank == null_basis(N[list(P)], kern.row_tol).rank
-                    assert kern.hidden_rank(P) == n - size - k + rank
+                    assert hidden_ranks([kern], P) == [n - size - k + rank]
 
     @pytest.mark.parametrize("shape", [(3, 6), (9, 6), (6, 6), (0, 4)])
     def test_stacked_bases_match_one_matrix_bases(self, shape):
@@ -330,7 +361,10 @@ class TestNullBasis:
         ]
         for size in range(n + 1):
             for rows in itertools.combinations(range(n), size):
-                assert hidden_ranks(kernels, rows) == [kern.hidden_rank(rows) for kern in kernels]
+                assert hidden_ranks(kernels, rows) == [
+                    n - size - kern.N.shape[1] + null_basis(kern.N[list(rows)], kern.row_tol).rank
+                    for kern in kernels
+                ]
         assert hidden_ranks([], (0,)) == []
 
     def test_not_exported(self):

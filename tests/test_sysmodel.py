@@ -167,6 +167,21 @@ class TestStructure:
         with pytest.raises(ValidationError, match="out of range"):
             NetworkStructure(n=2, m=1, edges=((0, 5),), sensor_edges=((0, 0),))
 
+    @pytest.mark.parametrize(
+        "m, edges, sensor_edges, message",
+        [
+            (1, ((0, 8),), ((0, 0),), "edges[0]: target node index 8 out of range [0, 1]"),
+            (1, ((0, 0), (0, 0)), ((0, 0),), "edges[1]: duplicate entry (0, 0)"),
+            (1, (), ((0, 2),), "sensor_edges[0]: sensor index 2 out of range [0, 0]"),
+            (2, (), ((0, 0),), "sensor_edges: sensor 1 has no incident edge"),
+        ],
+        ids=["node-range", "duplicate", "sensor-range", "uncovered-sensor"],
+    )
+    def test_library_errors_stay_zero_based(self, m, edges, sensor_edges, message):
+        with pytest.raises(ValidationError) as exc:
+            NetworkStructure(n=2, m=m, edges=edges, sensor_edges=sensor_edges)
+        assert str(exc.value) == message
+
     def test_load_from_file_is_one_based(self, file_struct_line3, struct_line3):
         loaded = load_structure(file_struct_line3)
         assert loaded.edges == struct_line3.edges
