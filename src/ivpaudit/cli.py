@@ -54,15 +54,27 @@ def _parse_nodes(text: str) -> tuple:
     return tuple(out)
 
 
-def _parse_vector(text: str, field: str = "vector") -> np.ndarray:
+def _entries(text: str, sep: str, field: str) -> list:
+    """The stripped ``sep``-separated parts of ``text``: none when every part
+    is blank, an error naming ``field`` when only some are."""
+    parts = [part.strip() for part in text.split(sep)]
+    if not any(parts):
+        return []
+    if not all(parts):
+        raise ValidationError(f"{field}: entry {parts.index('') + 1} of {text!r} is empty")
+    return parts
+
+
+def _parse_vector(text: str, field: str) -> np.ndarray:
+    parts = _entries(text, ",", field)
     try:
-        return np.array([float(p) for p in text.split(",") if p.strip() != ""])
+        return np.array([float(p) for p in parts])
     except ValueError:
         raise ValidationError(f"{field}: could not parse {text!r}") from None
 
 
-def _parse_vectors(text: str) -> list:
-    vecs = [_parse_vector(part) for part in text.split(";") if part.strip() != ""]
+def _parse_vectors(text: str, field: str) -> list:
+    vecs = [_parse_vector(part, field) for part in _entries(text, ";", field)]
     if not vecs:
         raise ValidationError("vector list: empty")
     return vecs
@@ -162,14 +174,14 @@ def cmd_attack(args) -> dict:
     system = require_lti(load_system(args.system))
     # x0 and the probe's arguments are all checked before the probe, the
     # first to simulate, so a bad one exits 2 before any draw.
-    x0 = sim._initial_value(_parse_vector(args.x0), system.n)
+    x0 = sim._initial_value(_parse_vector(args.x0, "x0"), system.n)
     report = None
     if args.empirical_dp:
         if not args.adjacent:
             raise ValidationError("adjacent: --empirical-dp needs --adjacent 'x1,..;x2,..'")
         report = sim.empirical_dp_report(
             system,
-            _parse_vectors(args.adjacent),
+            _parse_vectors(args.adjacent, "adjacent"),
             args.runs,
             bins=args.bins,
             seed=args.seed,
@@ -199,7 +211,7 @@ def cmd_attack(args) -> dict:
 
 def cmd_simulate(args) -> dict:
     system = require_lti(load_system(args.system))
-    x0 = _parse_vector(args.x0)
+    x0 = _parse_vector(args.x0, "x0")
     # Only --out needs the N-row Y; the summary reads the merged moments.
     T, moments, batch = sim._simulate(system, x0, args.N, args.T, args.seed, keep=bool(args.out))
     out = {

@@ -16,7 +16,9 @@ node i is private iff row N_i lies outside the row span of N_P, the ranks
 above follow from rank(N_P) and rank(N_{P+i}), the whole vector is private
 iff k > 0, and the privacy index is k - 1.  The exhaustive cross-check
 ``privacy_index_bruteforce`` ranks blocks of disclosure sets in stacked SVDs
-of the rows of N rather than testing one node at a time.
+of the rows of N rather than testing one node at a time.  Each set is ranked
+once unless its first test N_{P+j} falls short of full rank: deleting a row
+interlaces the singular values, so a full-rank N_{P+j} proves N_P full rank.
 
 Whenever the node is private, an explicit non-identifiability direction eta
 (zero on P, nonzero at i, annihilated by the observability map) is attached
@@ -229,6 +231,11 @@ def _level_holds(kern: NullBasis, n: int, level: int) -> bool:
     Node j is private under P iff rank(N_{P+j}) = rank(N_P) + 1.  The sets
     come in blocks that start at ``FIRST_BLOCK`` and double up to
     ``MAX_BLOCK``, so a level whose first set fails stops early.
+
+    Each set is ranked once unless its first test falls short: deleting a
+    row interlaces the singular values, sigma_l(N_P) >= sigma_{l+1}(N_{P+j}),
+    so a full-rank N_{P+j} proves rank(N_P) = l and j private.  Only the
+    sets whose first test has rank <= l need rank(N_P).
     """
     sets = itertools.combinations(range(n), level)
     block_size = FIRST_BLOCK
@@ -237,13 +244,15 @@ def _level_holds(kern: NullBasis, n: int, level: int) -> bool:
         hidden = np.ones((len(P), n), dtype=bool)
         hidden[np.arange(len(P))[:, None], P] = False
         hidden = np.nonzero(hidden)[1].reshape(len(P), n - level)
-        base = kern.row_ranks(P)
+        base = np.full(len(P), level)
         undecided = np.arange(len(P))
         # Round r tests each undecided set's r-th hidden node, P's rows first.
         for r in range(n - level):
-            rows = np.column_stack([P[undecided], hidden[undecided, r]])
-            private = kern.row_ranks(rows) == base[undecided] + 1
-            undecided = undecided[~private]
+            rank = kern.row_ranks(np.column_stack([P[undecided], hidden[undecided, r]]))
+            if r == 0:
+                short = rank <= level
+                base[short] = kern.row_ranks(P[short])
+            undecided = undecided[rank != base[undecided] + 1]
             if not len(undecided):
                 break
         else:
@@ -262,12 +271,20 @@ def privacy_index_bruteforce(
     size's sets are ranked in blocks through stacked SVDs of rows of the null
     basis (``NullBasis.row_ranks``), with the verdicts of the node test.
 
-    The cap still admits scans of minutes, in bounded memory (a block holds
-    at most ``MAX_BLOCK`` sets).  At n = 22 with 11 isolated nodes next to a
-    chain of 11 measured at its end (k = 11), levels 0 to 11 rank about
-    2.4 M sets, 20 M row subsets in all, in about 3 min on a 2-core machine.
-    With rank(O_ob) = 1 (k = 21) every level below 21 holds, and the scan
-    ranks all 4.2 M sets in about 3.5 min.
+    A set whose first test N_{P+j} has full rank is ranked once; the others
+    also need rank(N_P) (see :func:`_level_holds`).  The cap still admits
+    scans of minutes, in bounded memory (a block holds at most ``MAX_BLOCK``
+    sets); on a 2-core machine:
+
+    - n = 16 with 5 hidden states in random orthogonal coordinates: about
+      20 ms.
+    - n = 22 with 11 isolated nodes next to a chain of 11 measured at its
+      end (k = 11): levels 0 to 11 rank about 2.4 M sets, 20 M row subsets
+      in all, in about 2 min.  The chain's rows of N are zero, so every
+      first test falls short and every N_P is ranked as well.
+    - n = 22 with A = 0 and one sensor reading every node (rank(O_ob) = 1,
+      k = 21, no zero row): every level below 21 holds, and the scan ranks
+      all 4.2 M sets, each once, in about 1.7 min.
     """
     n = sys.n
     if n > BRUTEFORCE_MAX_NODES:

@@ -208,6 +208,26 @@ class TestCalibrate:
         assert code == 2
         assert "epsilon-grid" in err
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("0.5,,1,", "epsilon-grid: entry 2 of '0.5,,1,' is empty"),
+            ("0.5,1,", "epsilon-grid: entry 3 of '0.5,1,' is empty"),
+            ("", "epsilon-grid: empty grid"),
+        ],
+        ids=["inner", "trailing", "blank"],
+    )
+    def test_empty_grid_entry_exits_2(self, capsys, file_line2_first, grid, message):
+        code, out, err = run_cli(
+            capsys,
+            [
+                "calibrate", "--system", file_line2_first, "--epsilon", "1", "--delta", "0.05",
+                "--epsilon-grid=" + grid,
+            ],
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_one_pass_per_job(self, capsys, monkeypatch, file_line2_first):
         counts = {"build_bundle": 0, "_noise_covariance": 0}
 
@@ -488,6 +508,32 @@ class TestAttack:
         assert len(calls) == 0
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "x0, adjacent, message",
+        [
+            ("1,,2", "1,2;1.1,2", "x0: entry 2 of '1,,2' is empty"),
+            ("2,1,", "1,2;1.1,2", "x0: entry 3 of '2,1,' is empty"),
+            ("2,1", "1,,2;1.1,2", "adjacent: entry 2 of '1,,2' is empty"),
+            ("2,1", "1,2;1.1,2;", "adjacent: entry 3 of '1,2;1.1,2;' is empty"),
+            ("2,1", ";", "vector list: empty"),
+        ],
+        ids=["x0-inner", "x0-trailing", "adjacent-inner", "adjacent-trailing", "adjacent-blank"],
+    )
+    def test_empty_entry_exits_before_simulating(
+        self, capsys, monkeypatch, file_line2_first, x0, adjacent, message
+    ):
+        calls = count_draws(monkeypatch)
+        code, out, err = run_cli(
+            capsys,
+            [
+                "attack", "--system", file_line2_first, "--x0=" + x0, "--N", "10", "--seed", "4",
+                "--empirical-dp", "--adjacent=" + adjacent, "--runs", "100",
+            ],
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+        assert calls == []
+
     def test_bins_above_pooled_samples_exits_before_simulating(
         self, capsys, monkeypatch, file_line2_first
     ):
@@ -594,6 +640,14 @@ class TestSimulate:
             ["simulate", "--system", file_line2_sum, "--x0", "a,b", "--N", "5", "--seed", "1"],
         )
         assert code == 2
+
+    @pytest.mark.parametrize("x0", ["1,,2", "1,2,", ",1,2"])
+    def test_empty_x0_entry_exits_2(self, capsys, file_line2_sum, x0):
+        code, out, err = run_cli(
+            capsys, ["simulate", "--system", file_line2_sum, "--x0=" + x0, "--N", "5", "--seed", "1"]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: x0: entry ") and err.endswith(" is empty\n")
 
     def test_sigma_t_of_another_horizon_exits_2(self, capsys, monkeypatch, tmp_path):
         # Sigma_T is 7 x 7, the side n*T + m*(T+1) at T = 1, not at T = 2.

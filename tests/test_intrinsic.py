@@ -85,16 +85,48 @@ def reference_level_holds(O_ob, kern, n: int, level: int) -> bool:
     )
 
 
-def assert_levels_match_reference(system: LinearSystem) -> None:
+def assert_levels_match_reference(system: LinearSystem, rank_tol=None) -> None:
     """The blocked enumeration decides every level as the set-by-set scan does."""
     O_ob = build_bundle(system).O_ob
-    kern = null_basis(O_ob)
+    kern = null_basis(O_ob, rank_tol)
     n = system.n
     expected = [reference_level_holds(O_ob, kern, n, level) for level in range(n)]
     assert [intrinsic._level_holds(kern, n, level) for level in range(n)] == expected
     for l_max in range(n):
         index = next((level - 1 for level in range(l_max + 1) if not expected[level]), l_max)
-        assert privacy_index_bruteforce(system, l_max=l_max).index == index
+        assert privacy_index_bruteforce(system, l_max=l_max, rank_tol=rank_tol).index == index
+
+
+def rotated(system: LinearSystem, rng) -> LinearSystem:
+    """The same system in the coordinates of a random orthogonal Q, so its
+    null basis is dense."""
+    Q = np.linalg.qr(rng.standard_normal((system.n, system.n)))[0]
+    return LinearSystem(
+        n=system.n, m=system.m, A=Q @ system.A @ Q.T, C=system.C @ Q.T, require_output=False
+    )
+
+
+def rotated_permutation(n: int, hidden: int, seed: int) -> LinearSystem:
+    """Cycles on n - hidden measured and on ``hidden`` unmeasured states, in
+    random orthogonal coordinates: k = hidden and the null basis is dense."""
+    A = np.zeros((n, n))
+    for start, size in ((0, n - hidden), (n - hidden, hidden)):
+        for j in range(size):
+            A[start + (j + 1) % size, start + j] = 1.0
+    return rotated(LinearSystem(n=n, m=1, A=A, C=np.eye(1, n)), np.random.default_rng(seed))
+
+
+def count_row_ranks(monkeypatch) -> list:
+    """Record the rows array of every ``NullBasis.row_ranks`` call."""
+    calls = []
+    row_ranks = NullBasis.row_ranks
+
+    def counting(self, rows):
+        calls.append(np.asarray(rows))
+        return row_ranks(self, rows)
+
+    monkeypatch.setattr(NullBasis, "row_ranks", counting)
+    return calls
 
 
 class TestNodePrivate:
@@ -302,6 +334,15 @@ class TestBlockedEnumeration:
         for _ in range(150):
             assert_levels_match_reference(random_system(rng))
 
+    @pytest.mark.parametrize("rank_tol", [0, 1e-8, 1e-3])
+    def test_random_and_rotated_systems_match_reference_at_cutoffs(self, rank_tol):
+        # A full-rank first test stands in for rank(N_P) by interlacing; at
+        # rank_tol 0 the row cutoff is 0 too, where that holds up to rounding.
+        rng = np.random.default_rng(6)
+        for draw in range(80):
+            system = random_system(rng)
+            assert_levels_match_reference(rotated(system, rng) if draw % 2 else system, rank_tol)
+
     def test_failing_first_set_stops_after_the_first_block(self, monkeypatch):
         # Reversing chain_with_isolated(13, 3) puts the isolated nodes at 0,
         # 1 and 2, so the first 3-set (0, 1, 2) already leaves no node private.
@@ -321,6 +362,33 @@ class TestBlockedEnumeration:
         assert not intrinsic._level_holds(kern, n, level)
         bound = intrinsic.FIRST_BLOCK * (n - level) + intrinsic.FIRST_BLOCK
         assert sum(ranked) <= bound < math.comb(n, level)
+
+    def test_full_rank_first_test_ranks_each_set_once(self, monkeypatch):
+        # With a dense null basis every first test N_{P+j} has full rank
+        # below k, which proves rank(N_P) = |P|: each set is ranked once.
+        system = rotated_permutation(16, 5, seed=11)
+        n = system.n
+        kern = null_basis(build_bundle(system).O_ob)
+        assert kern.N.shape[1] == 5
+        calls = count_row_ranks(monkeypatch)
+        for level in range(5):
+            calls.clear()
+            assert intrinsic._level_holds(kern, n, level)
+            assert sum(len(rows) for rows in calls) == math.comb(n, level)
+
+    def test_short_first_test_still_ranks_the_disclosure_set(self, monkeypatch):
+        # Chain nodes 0-5 have zero rows of N, so every first test (hidden
+        # node 0 or 1) falls short and each set's rank(N_P) is computed; the
+        # verdicts rank(N_{P+j}) == rank(N_P) + 1 then find an isolated node.
+        system = chain_with_isolated(6, 3)
+        n = system.n
+        kern = null_basis(build_bundle(system).O_ob)
+        calls = count_row_ranks(monkeypatch)
+        for level in range(3):
+            calls.clear()
+            assert intrinsic._level_holds(kern, n, level)
+            disclosed = sorted(tuple(P) for rows in calls if rows.shape[1] == level for P in rows)
+            assert disclosed == list(itertools.combinations(range(n), level))
 
 
 class TestRankTolerance:
