@@ -32,7 +32,7 @@ import numpy as np
 
 from . import dp, generic, intrinsic, sim
 from .errors import ConditioningError, ValidationError
-from .obsv import build_bundle, null_basis
+from .obsv import _horizon, build_bundle, null_basis
 from .sysmodel import load_structure, load_system, require_lti
 
 
@@ -82,14 +82,16 @@ def _parse_vectors(text: str, field: str) -> list:
 
 def cmd_audit(args) -> dict:
     system = require_lti(load_system(args.system))
-    bundle = build_bundle(system, args.T)
+    # Every verdict reads O_ob, the same for every T >= n-1: T is checked and echoed only.
+    T = _horizon(system.n, args.T)
+    bundle = build_bundle(system)
     kern = null_basis(bundle.O_ob, args.rank_tol)
     whole = intrinsic._whole_vector(kern)
     report = intrinsic._index_report(kern)
     out = {
         "n": system.n,
         "m": system.m,
-        "T": bundle.T,
+        "T": T,
         "whole_vector_private": bool(whole.private),
         "rank_Oob": report.rank_Oob,
         "index": report.index,

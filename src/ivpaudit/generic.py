@@ -165,18 +165,18 @@ def _kernel_blocks(
 
     A draw is a (step, k) pair: sample k of round ``step``, read from the
     generator keyed by (seed, step), in round order.  A block holds as many
-    samples as fit in ``BLOCK_BYTES``.  Its A and C are filled in one
-    scatter, its O_ob stack is built by batched products and read through
-    one stacked SVD (``obsv.null_bases``), so each null basis equals
-    ``null_basis`` of that sample's own O_ob.  An overflowing power raises
+    samples as fit in ``BLOCK_BYTES``; only the current block's draws are
+    listed.  Its A and C are filled in one scatter, its O_ob stack is built
+    by batched products and read through one stacked SVD
+    (``obsv.null_bases``), so each null basis equals ``null_basis`` of that
+    sample's own O_ob.  An overflowing power raises
     ``ConditioningError`` naming the earliest step at which any sample of
     the block overflows.
     """
-    draws = [(step, k) for step in rounds for k in range(samples)]
+    draws = ((step, k) for step in rounds for k in range(samples))
     rngs = {step: np.random.default_rng(derive_seed(seed, step)) for step in rounds}
     per_block = max(1, BLOCK_BYTES // _sample_bytes(structure))
-    for start in range(0, len(draws), per_block):
-        block = draws[start:start + per_block]
+    while block := list(itertools.islice(draws, per_block)):
         theta = np.concatenate([
             _sampled_system(structure, rngs[step], len(list(run)), signed)
             for step, run in itertools.groupby(block, key=lambda draw: draw[0])
@@ -187,11 +187,11 @@ def _kernel_blocks(
         )
 
 
-def _estimate(hidden: list[int], seed: int) -> GenericRankEstimate:
-    """Estimate from the sampled hidden ranks of one round."""
-    best = max(hidden)
-    agreement = sum(1 for r in hidden if r == best) / len(hidden)
-    return GenericRankEstimate(n_P_ob=best, samples=len(hidden), seed=seed, agreement=agreement)
+def _fold(best: int, count: int, hidden: list[int]) -> tuple[int, int]:
+    """The running (maximum, samples at the maximum) of a round's hidden ranks
+    after one more block of them."""
+    top = max([best, *hidden])
+    return top, hidden.count(top) + (count if top == best else 0)
 
 
 def estimate_generic_rank(
@@ -212,10 +212,10 @@ def estimate_generic_rank(
     P = DisclosureSet.coerce(P)
     P.validate_range(structure.n)
 
-    hidden = []
+    best, count = -1, 0
     for _, kernels in _kernel_blocks(structure, seed, signed, (_STEP_ESTIMATE,), samples):
-        hidden += hidden_ranks(kernels, P.nodes)
-    return _estimate(hidden, seed)
+        best, count = _fold(best, count, hidden_ranks(kernels, P.nodes))
+    return GenericRankEstimate(n_P_ob=best, samples=samples, seed=seed, agreement=count / samples)
 
 
 def generic_node_privacy(
@@ -232,6 +232,9 @@ def generic_node_privacy(
     configurations and watches for the certifying event.  An observed event
     proves generic privacy; an unobserved event indicates generic loss.  Both
     rounds are ranked in one stack, and step 2 checks all of its samples.
+    Each block is folded into the estimate and the event as it is ranked: its
+    step-1 samples come first, and every step-1 sample precedes every step-2
+    one, so the estimate is final before any step-2 sample is read.
     Raises ``ConditioningError`` when a power C A^k of some sample overflows;
     the message names the earliest k at which any sample of a block does.
     """
@@ -239,17 +242,18 @@ def generic_node_privacy(
     samples = integer(samples, "samples", 1)
     seed = integer(seed, "seed", 0)
 
-    hidden, hidden_i = [], []
+    best, count, observed = -1, 0, False
     rounds = (_STEP_ESTIMATE, _STEP_VERIFY)
     for block, kernels in _kernel_blocks(structure, seed, signed, rounds, samples):
-        hidden += hidden_ranks(kernels, P.nodes)
-        verify = [kern for (step, _), kern in zip(block, kernels) if step == _STEP_VERIFY]
-        hidden_i += hidden_ranks(verify, P.nodes + (i,))
-    estimate = _estimate(hidden[:samples], seed)
-    # The certifying event: C1, C2 and C3 are this one identity of ranks.
-    observed = any(
-        h + (h_i == h) == estimate.n_P_ob + 1 for h, h_i in zip(hidden[samples:], hidden_i)
-    )
+        hidden = hidden_ranks(kernels, P.nodes)
+        split = sum(step == _STEP_ESTIMATE for step, _ in block)
+        best, count = _fold(best, count, hidden[:split])
+        hidden_i = hidden_ranks(kernels[split:], P.nodes + (i,))
+        # The certifying event: C1, C2 and C3 are this one identity of ranks.
+        observed = observed or any(
+            h + (h_i == h) == best + 1 for h, h_i in zip(hidden[split:], hidden_i)
+        )
+    estimate = GenericRankEstimate(n_P_ob=best, samples=samples, seed=seed, agreement=count / samples)
     return GenericVerdict(
         node=i,
         P=P,

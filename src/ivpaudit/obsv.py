@@ -107,13 +107,19 @@ class ObservabilityBundle:
         return H_T
 
 
+def _horizon(n: int, T: int | None) -> int:
+    """``T`` checked as a bundle horizon for n states: default n-1, the minimum allowed."""
+    T = n - 1 if T is None else integer(T, "T")
+    if T < n - 1:
+        raise ValidationError(f"T: horizon must be >= n-1 = {n - 1}, got {T}")
+    return T
+
+
 def build_bundle(sys: LinearSystem, T: int | None = None) -> ObservabilityBundle:
     """Observability bundle at horizon ``T`` (default n-1, the minimum allowed)."""
     require_lti(sys)
     n = sys.n
-    T = n - 1 if T is None else integer(T, "T")
-    if T < n - 1:
-        raise ValidationError(f"T: horizon must be >= n-1 = {n - 1}, got {T}")
+    T = _horizon(n, T)
     O_T = np.vstack(_output_power_blocks(sys.A, sys.C, T + 1))
     O_T.flags.writeable = False  # O_ob, a view, is read-only too
     return ObservabilityBundle(n=n, m=sys.m, T=T, O_ob=O_T[: sys.m * n], O_T=O_T)

@@ -21,6 +21,7 @@ File format (JSON, indices 1-based in files, 0-based in the API):
 Time-varying systems replace "A"/"C" with "A_seq" (length T) and "C_seq"
 (length T+1).  General noise replaces the sigmas with "SigmaT", the joint
 covariance of the stacked process and measurement noise over one horizon.
+A structure is checked once, by one validator: a file's in its own 1-based terms.
 """
 
 from __future__ import annotations
@@ -212,36 +213,44 @@ def require_lti(sys) -> LinearSystem:
     return sys
 
 
-def _check_edges(edges, n_src: int, n_dst: int, path: str, src_name: str, dst_name: str,
-                 base: int = 0):
+def _check_edges(edges, n: int, n_dst: int, path: str, dst_name: str, base: int = 0):
     """``edges`` as 0-based pairs; indices in ``edges`` and in errors count from ``base``."""
-    seen = set()
-    out = []
+    if not isinstance(edges, Iterable):
+        raise ValidationError(f"{path}: expected a list of pairs")
+    out = {}  # (source, target) as given -> 0-based pair
     for k, pair in enumerate(edges):
-        pair = tuple(pair)
-        if len(pair) != 2:
-            raise ValidationError(f"{path}[{k}]: expected a (source, target) pair, got {pair!r}")
-        src, dst = pair
+        try:
+            pair = src, dst = tuple(pair)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"{path}[{k}]: expected a (source, target) pair, got {pair!r}"
+            ) from None
         if type(src) is not int or type(dst) is not int:  # plain ints skip the formatting
             src, dst = (integer(v, f"{path}[{k}]") for v in pair)
-        for index, name, count in ((src, src_name, n_src), (dst, dst_name, n_dst)):
+        for index, name, count in ((src, "source node", n), (dst, dst_name, n_dst)):
             if not base <= index < count + base:
-                raise ValidationError(
-                    f"{path}[{k}]: {name} index {index} out of range [{base}, {count - 1 + base}]"
-                )
-        if (src, dst) in seen:
+                raise ValidationError(f"{path}[{k}]: {name} index {index} out of range "
+                                      f"[{base}, {count - 1 + base}]")
+        if (src, dst) in out:
             raise ValidationError(f"{path}[{k}]: duplicate entry {pair!r}")
-        seen.add((src, dst))
-        out.append((src - base, dst - base))
-    return out
+        out[src, dst] = (src - base, dst - base)
+    return out.values()
 
 
-def _check_sensors_covered(sensor_edges, m: int, path: str, base: int = 0) -> None:
-    """Each of the m sensors has an edge in the 0-based ``sensor_edges``."""
-    covered = {s for _, s in sensor_edges}
-    for s in range(m):
-        if s not in covered:
-            raise ValidationError(f"{path}: sensor {s + base} has no incident edge")
+def _check_structure(obj: NetworkStructure, prefix: str = "", base: int = 0) -> None:
+    """Check n, m, the edges and sensor coverage, then set the fields: edges 0-based,
+    in canonical order.  Edge paths start with ``prefix``; indices count from ``base``."""
+    n, m = integer(obj.n, "n", 1), integer(obj.m, "m", 1)
+    # Both lists are read, and so a file's JSON shape is checked, before any index.
+    given = [list(p) if isinstance(p, Iterable) else p for p in (obj.edges, obj.sensor_edges)]
+    edges = _check_edges(given[0], n, n, f"{prefix}edges", "target node", base)
+    sensors = f"{prefix}sensor_edges"
+    sensor_edges = _check_edges(given[1], n, m, sensors, "sensor", base)
+    uncovered = set(range(m)).difference(s for _, s in sensor_edges)
+    if uncovered:
+        raise ValidationError(f"{sensors}: sensor {min(uncovered) + base} has no incident edge")
+    edges, sensor_edges = (tuple(sorted(e, key=lambda p: p[::-1])) for e in (edges, sensor_edges))
+    vars(obj).update(n=n, m=m, edges=edges, sensor_edges=sensor_edges)  # frozen: skip __setattr__
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,17 +271,7 @@ class NetworkStructure:
     sensor_edges: tuple = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", integer(self.n, "n", 1))
-        object.__setattr__(self, "m", integer(self.m, "m", 1))
-        edges = _check_edges(self.edges, self.n, self.n, "edges", "source node", "target node")
-        sensor_edges = _check_edges(
-            self.sensor_edges, self.n, self.m, "sensor_edges", "source node", "sensor"
-        )
-        _check_sensors_covered(sensor_edges, self.m, "sensor_edges")
-        edges.sort(key=lambda e: (e[1], e[0]))
-        sensor_edges.sort(key=lambda e: (e[1], e[0]))
-        object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "sensor_edges", tuple(sensor_edges))
+        _check_structure(self)
 
     @property
     def n_weights(self) -> int:
@@ -322,14 +321,12 @@ class DisclosureSet:
             raise ValidationError(
                 f"disclosure: expected a collection of node indices, got {self.nodes!r}"
             ) from None
-        nodes = []
-        seen = set()
+        nodes = {}  # node -> its position, in the given order
         for k, i in enumerate(given):
             i = integer(i, f"disclosure[{k}]")
-            if i in seen:
+            if i in nodes:
                 raise ValidationError(f"disclosure[{k}]: duplicate node {i}")
-            seen.add(i)
-            nodes.append(i)
+            nodes[i] = k
         object.__setattr__(self, "nodes", tuple(nodes))
 
     @classmethod
@@ -444,27 +441,29 @@ def _require(raw: dict, *names: str) -> None:
             raise ValidationError(f"{name}: missing")
 
 
-def _parse_structure(raw: dict, n: int, m: int, path: str = "structure") -> NetworkStructure:
-    """The "structure" block, checked in the file's 1-based terms."""
+def _file_pairs(block: dict, name: str, path: str):
+    """``block[name]``'s entries, each checked as read: a JSON array of two, no int below 1."""
+    if not isinstance(pairs := block.get(name), list):
+        problem = "expected a list of pairs" if name in block else "missing"
+        raise ValidationError(f"{path}: {problem}")
+    for k, pair in enumerate(pairs):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValidationError(f"{path}[{k}]: expected a pair, got {pair!r}")
+        a, b = pair  # _check_edges rejects what is not an integer
+        if type(a) is int and a < 1 or type(b) is int and b < 1:
+            raise ValidationError(f"{path}[{k}]: file indices are 1-based, got {pair!r}")
+        yield pair
+
+
+def _parse_structure(raw: dict, n, m, path: str = "structure") -> NetworkStructure:
+    """The "structure" block, checked once, in the file's terms: 1-based, under ``path``."""
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: expected an object")
-    n, m = integer(n, "n", 1), integer(m, "m", 1)
-    for name in ("edges", "sensor_edges"):
-        if name not in raw:
-            raise ValidationError(f"{path}.{name}: missing")
-        if not isinstance(raw[name], list):
-            raise ValidationError(f"{path}.{name}: expected a list of pairs")
-        for k, pair in enumerate(raw[name]):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ValidationError(f"{path}.{name}[{k}]: expected a pair, got {pair!r}")
-            a, b = pair  # _check_edges rejects what is not an integer
-            if type(a) is int and a < 1 or type(b) is int and b < 1:
-                raise ValidationError(f"{path}.{name}[{k}]: file indices are 1-based, got {pair!r}")
-    edges = _check_edges(raw["edges"], n, n, f"{path}.edges", "source node", "target node", 1)
-    sensors = f"{path}.sensor_edges"
-    sensor_edges = _check_edges(raw["sensor_edges"], n, m, sensors, "source node", "sensor", 1)
-    _check_sensors_covered(sensor_edges, m, sensors, 1)
-    return NetworkStructure(n=n, m=m, edges=tuple(edges), sensor_edges=tuple(sensor_edges))
+    structure = object.__new__(NetworkStructure)  # not checked a second time by __post_init__
+    pairs = {name: _file_pairs(raw, name, f"{path}.{name}") for name in ("edges", "sensor_edges")}
+    vars(structure).update(n=n, m=m, **pairs)  # read after n and m are checked
+    _check_structure(structure, f"{path}.", 1)
+    return structure
 
 
 def _load_json(path) -> dict:

@@ -118,6 +118,24 @@ class TestAudit:
         assert (loose["whole_vector_private"], loose["index"]) == (True, 0)
         assert loose["nodes"][0]["private"] is True
 
+    def test_long_horizon_builds_no_unread_powers(self, capsys, tmp_path):
+        # Every audit verdict reads O_ob alone, so --T only sets the echoed
+        # horizon: C A^499 of diag(2, 0.5) would overflow, and no verdict reads it.
+        path = write_system_file(
+            tmp_path, "diag.json", {"n": 2, "m": 1, "A": [[2, 0], [0, 0.5]], "C": [[1, 0]]}
+        )
+        plain = run_json(capsys, ["audit", "--system", path, "--node", "1,2"], "audit")
+        long = run_json(capsys, ["audit", "--system", path, "--node", "1,2", "--T", "600"], "audit")
+        assert (plain["T"], long["T"]) == (1, 600)
+        assert {**long, "T": 1} == plain
+        assert (plain["rank_Oob"], plain["whole_vector_private"]) == (1, True)
+
+    @pytest.mark.parametrize("T", ["0", "-3"])
+    def test_horizon_below_n_minus_1_exits_2(self, capsys, file_line2_first, T):
+        code, out, err = run_cli(capsys, ["audit", "--system", file_line2_first, "--T", T])
+        assert (code, out) == (2, "")
+        assert err == f"error: T: horizon must be >= n-1 = 1, got {T}\n"
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_rank_tol_exits_2(self, capsys, file_line2_first, tol):
         code, out, err = run_cli(

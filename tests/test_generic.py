@@ -362,6 +362,24 @@ class TestStackedRounds:
         assert est.samples == 256
         assert peak < generic.BLOCK_BYTES + generic._sample_bytes(structure)
 
+    def test_peak_memory_does_not_grow_with_samples(self):
+        # A verdict folds each block into its running maximum, agreement count
+        # and event flag, so ten times the samples reach the same peak.  A
+        # block of this 4-node line holds 655 samples, and each call fills
+        # several.  (Traced, 20,000 samples take longer than this test may.)
+        structure = NetworkStructure(n=4, m=1, edges=[(0, 1), (1, 2), (2, 3)], sensor_edges=[(0, 0)])
+        generic_node_privacy(structure, 3, (), samples=2, seed=1)
+        peaks = []
+        for samples in (800, 8000):
+            tracemalloc.start()
+            try:
+                verdict = generic_node_privacy(structure, 3, (), samples=samples, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert verdict.estimate.samples == samples
+        assert peaks[1] - peaks[0] < 500_000
+
 
 class TestOverflow:
     """C A^k overflows on the complete 120-node digraph with weights in [0, 1]."""

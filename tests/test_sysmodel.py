@@ -22,6 +22,7 @@ from ivpaudit import (
     save_system,
     system_to_dict,
 )
+from ivpaudit import sysmodel
 from conftest import random_structure, write_system_file
 
 
@@ -180,6 +181,76 @@ class TestStructure:
     def test_library_errors_stay_zero_based(self, m, edges, sensor_edges, message):
         with pytest.raises(ValidationError) as exc:
             NetworkStructure(n=2, m=m, edges=edges, sensor_edges=sensor_edges)
+        assert str(exc.value) == message
+
+    def test_structure_checked_once(self, monkeypatch, file_struct_line3):
+        # One pass over each edge list, whether the structure comes from a
+        # file (in file terms) or from the library (in 0-based terms).
+        calls = []
+        check = sysmodel._check_edges
+        monkeypatch.setattr(
+            sysmodel, "_check_edges", lambda *args: calls.append(args[3]) or check(*args)
+        )
+        loaded = load_structure(file_struct_line3)
+        assert calls == ["structure.edges", "structure.sensor_edges"]
+        calls.clear()
+        built = NetworkStructure(n=3, m=1, edges=loaded.edges, sensor_edges=loaded.sensor_edges)
+        assert calls == ["edges", "sensor_edges"]
+        assert (built.edges, built.sensor_edges) == (loaded.edges, loaded.sensor_edges)
+        assert (type(loaded), type(loaded.n), type(loaded.edges)) == (NetworkStructure, int, tuple)
+
+    @pytest.mark.parametrize(
+        "edges, sensor_edges, message",
+        [
+            ([1, 2], [(0, 0)], "edges[0]: expected a (source, target) pair, got 1"),
+            ([(0, 1)], None, "sensor_edges: expected a list of pairs"),
+            (5, [(0, 0)], "edges: expected a list of pairs"),
+            ([(0, 1, 1)], [(0, 0)], "edges[0]: expected a (source, target) pair, got (0, 1, 1)"),
+            ([[0, 1, 1]], [(0, 0)], "edges[0]: expected a (source, target) pair, got (0, 1, 1)"),
+        ],
+        ids=["int-pairs", "none-list", "int-list", "triple-tuple", "triple-list"],
+    )
+    def test_library_non_pairs_name_the_field(self, edges, sensor_edges, message):
+        with pytest.raises(ValidationError) as exc:
+            NetworkStructure(n=2, m=1, edges=edges, sensor_edges=sensor_edges)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "edges",
+        [((1, 0), (0, 1)), [[1, 0], [0, 1]], np.array([[1, 0], [0, 1]]), iter([(1, 0), (0, 1)])],
+        ids=["tuples", "lists", "numpy-rows", "iterator"],
+    )
+    def test_library_pair_forms_accepted(self, edges):
+        structure = NetworkStructure(n=2, m=1, edges=edges, sensor_edges=np.array([[1, 0]]))
+        assert structure.edges == ((1, 0), (0, 1))  # by (target, source)
+        assert structure.sensor_edges == ((1, 0),)
+        assert all(type(v) is int for pair in structure.edges for v in pair)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"n": "x", "m": 1, "structure": {"edges": [[1]], "sensor_edges": 3}},
+             "n: expected an integer, got 'x'"),
+            ({"n": 0, "m": 1, "structure": {"sensor_edges": [[1, 1]]}}, "n: must be >= 1, got 0"),
+            ({"n": "x", "m": 1, "structure": [1]}, "structure: expected an object"),
+            ({"n": 2, "m": 1, "edges": [[1, 9]], "sensor_edges": [[0, 1]]},
+             "structure.sensor_edges[0]: file indices are 1-based, got [0, 1]"),
+            ({"n": 2, "m": 1, "edges": [[1, 9]]}, "structure.sensor_edges: missing"),
+            ({"n": 2, "m": 1, "edges": [[1, 9], [1]], "sensor_edges": []},
+             "structure.edges[1]: expected a pair, got [1]"),
+            ({"n": 2, "m": 1, "edges": "ab", "sensor_edges": []},
+             "structure.edges: expected a list of pairs"),
+            ({"n": 2, "m": 1, "edges": [[1, 2]], "sensor_edges": [["a", "b"]]},
+             "structure.sensor_edges[0]: expected an integer, got 'a'"),
+        ],
+        ids=["n-before-pairs", "n-before-missing", "block-first", "shapes-before-indices",
+             "missing-before-indices", "pair-before-indices", "string-list", "string-index"],
+    )
+    def test_file_check_order(self, tmp_path, payload, message):
+        # Block type, then n and m, then the JSON shape of both edge lists,
+        # then their indices and the sensors' coverage.
+        with pytest.raises(ValidationError) as exc:
+            load_structure(write_system_file(tmp_path, "bad.json", payload))
         assert str(exc.value) == message
 
     def test_load_from_file_is_one_based(self, file_struct_line3, struct_line3):
