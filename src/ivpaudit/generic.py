@@ -60,10 +60,15 @@ __all__ = [
 
 DEFAULT_SAMPLES = 8
 
-#: Bytes of stacked arrays (A, the powers C A^k, O_ob and the SVD's U and
-#: Vt) that one block of samples may hold, so that memory does not grow with
-#: ``samples``.  Larger blocks gain little speed and raise the peak RSS.
+#: Bytes that one block of samples may hold (see ``_sample_bytes``), so that
+#: memory does not grow with ``samples``.  Larger blocks gain little speed and
+#: raise the peak RSS.
 BLOCK_BYTES = 2**19
+
+#: Bytes of the Python objects each sample of a block keeps while the block
+#: is ranked: its ``NullBasis`` tuple, the view N, three floats and its draw
+#: (step, k).  Traced, they came to 574 bytes per sample at n = 1 (numpy 2.4).
+SAMPLE_OBJECT_BYTES = 640
 
 _STEP_ESTIMATE = 0
 _STEP_VERIFY = 1
@@ -152,10 +157,11 @@ def _sampled_system(structure: NetworkStructure, rng: np.random.Generator, rows:
 
 
 def _sample_bytes(structure: NetworkStructure) -> int:
-    """Upper bound on the bytes one sample holds in a block: A, the powers
-    C A^k and O_ob, and the U and Vt of its SVD."""
+    """Upper bound on the bytes one sample holds in a block: the arrays A, the
+    powers C A^k and O_ob, and the U and Vt of its SVD, and the Python
+    objects of its null basis and draw."""
     n, m = structure.n, structure.m
-    return 8 * n * (n + 1) * (3 * m + 2)
+    return 8 * n * (n + 1) * (3 * m + 2) + SAMPLE_OBJECT_BYTES
 
 
 def _kernel_blocks(

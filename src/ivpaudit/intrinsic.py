@@ -277,14 +277,14 @@ def privacy_index_bruteforce(
     sets); on a 2-core machine:
 
     - n = 16 with 5 hidden states in random orthogonal coordinates: about
-      20 ms.
+      11 ms.
     - n = 22 with 11 isolated nodes next to a chain of 11 measured at its
       end (k = 11): levels 0 to 11 rank about 2.4 M sets, 20 M row subsets
-      in all, in about 2 min.  The chain's rows of N are zero, so every
+      in all, in about 1 min.  The chain's rows of N are zero, so every
       first test falls short and every N_P is ranked as well.
     - n = 22 with A = 0 and one sensor reading every node (rank(O_ob) = 1,
       k = 21, no zero row): every level below 21 holds, and the scan ranks
-      all 4.2 M sets, each once, in about 1.7 min.
+      all 4.2 M sets, each once, in about 50 s.
     """
     n = sys.n
     if n > BRUTEFORCE_MAX_NODES:

@@ -365,7 +365,7 @@ class TestStackedRounds:
     def test_peak_memory_does_not_grow_with_samples(self):
         # A verdict folds each block into its running maximum, agreement count
         # and event flag, so ten times the samples reach the same peak.  A
-        # block of this 4-node line holds 655 samples, and each call fills
+        # block of this 4-node line holds 364 samples, and each call fills
         # several.  (Traced, 20,000 samples take longer than this test may.)
         structure = NetworkStructure(n=4, m=1, edges=[(0, 1), (1, 2), (2, 3)], sensor_edges=[(0, 0)])
         generic_node_privacy(structure, 3, (), samples=2, seed=1)
@@ -374,6 +374,23 @@ class TestStackedRounds:
             tracemalloc.start()
             try:
                 verdict = generic_node_privacy(structure, 3, (), samples=samples, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert verdict.estimate.samples == samples
+        assert peaks[1] - peaks[0] < 500_000
+
+    def test_peak_memory_does_not_grow_with_samples_at_one_node(self):
+        # At n = 1 a sample's arrays are 80 bytes and the Python objects of its
+        # null basis and draw several times that, so a block is sized by those
+        # objects too: ten times the samples reach the same traced peak.
+        structure = NetworkStructure(n=1, m=1, edges=[(0, 0)], sensor_edges=[(0, 0)])
+        generic_node_privacy(structure, 0, (), samples=2, seed=1)
+        peaks = []
+        for samples in (800, 8000):
+            tracemalloc.start()
+            try:
+                verdict = generic_node_privacy(structure, 0, (), samples=samples, seed=1)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

@@ -292,14 +292,60 @@ class TestNullBasis:
             X[rng.random(n) < 0.3] = 0.0
             X[1] = X[0]
             N = np.linalg.qr(X)[0]
-            kern = NullBasis(rank=n - k, N=N, tol=1e-12, row_tol=1e-10, norm=1.0)
-            for size in range(n + 1):
-                sets = list(itertools.combinations(range(n), size))
-                ranks = kern.row_ranks(np.array(sets, dtype=np.intp).reshape(len(sets), size))
-                assert ranks.shape == (len(sets),)
-                for P, rank in zip(sets, ranks):
-                    assert rank == null_basis(N[list(P)], kern.row_tol).rank
-                    assert hidden_ranks([kern], P) == [n - size - k + rank]
+            for row_tol in (1e-10, 0.0, 1e-13, 1e-8, 1e-3):
+                kern = NullBasis(rank=n - k, N=N, tol=1e-12, row_tol=row_tol, norm=1.0)
+                for size in range(n + 1):
+                    sets = list(itertools.combinations(range(n), size))
+                    ranks = kern.row_ranks(np.array(sets, dtype=np.intp).reshape(len(sets), size))
+                    assert ranks.shape == (len(sets),)
+                    for P, rank in zip(sets, ranks):
+                        assert rank == null_basis(N[list(P)], kern.row_tol).rank
+                        assert hidden_ranks([kern], P) == [n - size - k + rank]
+
+    @pytest.mark.parametrize("basis", ["diagonal", "rotated"])
+    @pytest.mark.parametrize("side", ["below", "at", "above"])
+    def test_cutoff_ties_are_ranked_on_the_full_path(self, monkeypatch, basis, side):
+        # A singular value of N_P placed just below, at and just above the row
+        # cutoff.  The values without U and Vt may differ from those of
+        # null_basis in the last bits, so such a set must be ranked again with
+        # U and Vt, and the count must be the one null_basis reads.
+        rng = np.random.default_rng(37)
+        n, k = 5, 3
+        if basis == "diagonal":
+            N = np.zeros((n, k))
+            N[[0, 1, 2], [0, 1, 2]] = [1.0, 0.5, 3e-9]
+            N[3:] = rng.standard_normal((2, k))
+        else:
+            N = np.linalg.qr(rng.standard_normal((n, k)))[0]
+        sets = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp)
+        sigma = np.linalg.svd(N[sets[0]], full_matrices=False)[1][-1]
+        row_tol = {"below": np.nextafter(sigma, 0.0), "at": sigma, "above": np.nextafter(sigma, 1.0)}[side]
+        kern = NullBasis(rank=n - k, N=N, tol=1e-12, row_tol=float(row_tol), norm=1.0)
+        other = NullBasis(rank=n - k, N=N[::-1].copy(), tol=1e-12, row_tol=1e-10, norm=1.0)
+
+        # (matrices in the stack, U and Vt formed) for each SVD call
+        calls = []
+        svd = np.linalg.svd
+
+        def counted_svd(M, *args, **kwargs):
+            calls.append((M.shape[0], kwargs.get("compute_uv", True)))
+            return svd(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        ranks = kern.row_ranks(sets)
+        assert calls[0] == (len(sets), False)
+        assert 1 <= sum(count for count, uv in calls[1:] if uv) < len(sets)
+        calls.clear()
+        hidden = hidden_ranks([kern, other], sets[0])
+        assert calls == [(2, False), (1, True)]
+        monkeypatch.setattr(np.linalg, "svd", svd)
+
+        for P, rank in zip(sets, ranks):
+            assert rank == null_basis(N[P], kern.row_tol).rank
+        want = null_basis(N[sets[0]], kern.row_tol).rank
+        assert want == (3 if side == "below" else 2)
+        assert hidden[0] == n - 3 - k + want
+        assert hidden[1] == n - 3 - k + null_basis(other.N[sets[0]], other.row_tol).rank
 
     @pytest.mark.parametrize("shape", [(3, 6), (9, 6), (6, 6), (0, 4)])
     def test_stacked_bases_match_one_matrix_bases(self, shape):
