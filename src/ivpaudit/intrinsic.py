@@ -15,10 +15,11 @@ All three depend only on the null space of O_ob.  One SVD of O_ob
 node i is private iff row N_i lies outside the row span of N_P, the ranks
 above follow from rank(N_P) and rank(N_{P+i}), the whole vector is private
 iff k > 0, and the privacy index is k - 1.  The exhaustive cross-check
-``privacy_index_bruteforce`` ranks blocks of disclosure sets in stacked SVDs
-of the rows of N rather than testing one node at a time.  Each set is ranked
-once unless its first test N_{P+j} falls short of full rank: deleting a row
-interlaces the singular values, so a full-rank N_{P+j} proves N_P full rank.
+``privacy_index_bruteforce`` ranks blocks of disclosure sets at once
+(``NullBasis.row_ranks``) rather than testing one node at a time.  Each set
+is ranked once unless its first test N_{P+j} falls short of full rank:
+deleting a row interlaces the singular values, so a full-rank N_{P+j}
+proves N_P full rank.
 
 Whenever the node is private, an explicit non-identifiability direction eta
 (zero on P, nonzero at i, annihilated by the observability map) is attached
@@ -268,23 +269,25 @@ def privacy_index_bruteforce(
 
     Works only for small networks (n <= 22).  Losing privacy is monotone in
     the disclosure set, so the first failing size terminates the scan.  Each
-    size's sets are ranked in blocks through stacked SVDs of rows of the null
-    basis (``NullBasis.row_ranks``), with the verdicts of the node test.
+    size's sets are ranked in blocks by ``NullBasis.row_ranks``, with the
+    verdicts of the node test: a determinant bound proves most row subsets
+    of the null basis full rank, and stacked SVDs rank the rest.
 
     A set whose first test N_{P+j} has full rank is ranked once; the others
     also need rank(N_P) (see :func:`_level_holds`).  The cap still admits
-    scans of minutes, in bounded memory (a block holds at most ``MAX_BLOCK``
-    sets); on a 2-core machine:
+    scans of about a minute, in bounded memory (a block holds at most
+    ``MAX_BLOCK`` sets); on a 2-core machine:
 
     - n = 16 with 5 hidden states in random orthogonal coordinates: about
-      11 ms.
+      5 ms.
     - n = 22 with 11 isolated nodes next to a chain of 11 measured at its
       end (k = 11): levels 0 to 11 rank about 2.4 M sets, 20 M row subsets
-      in all, in about 1 min.  The chain's rows of N are zero, so every
-      first test falls short and every N_P is ranked as well.
+      in all, in about 47 s.  The chain's rows of N are zero, so every
+      first test falls short, every N_P is ranked as well, and only the
+      row subsets without a chain row can be certified.
     - n = 22 with A = 0 and one sensor reading every node (rank(O_ob) = 1,
       k = 21, no zero row): every level below 21 holds, and the scan ranks
-      all 4.2 M sets, each once, in about 50 s.
+      all 4.2 M sets, each once, in about 20 s.
     """
     n = sys.n
     if n > BRUTEFORCE_MAX_NODES:

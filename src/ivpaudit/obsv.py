@@ -22,7 +22,10 @@ is read off N: ``NullBasis.row_ranks`` ranks row subsets of one basis, and
 Both count singular values of a stack of row subsets without forming U and
 Vt, and rank again with U and Vt only the matrices with a singular value
 within a rounding band of the cutoff, so every count is the one
-``null_basis`` would read (``_stacked_ranks``).
+``null_basis`` would read (``_stacked_ranks``).  ``row_ranks`` first proves
+full rank where it can, from a rigorous lower bound on sigma_min read off an
+LU determinant (``_full_rank_certified``), and sends only the rest to the
+SVD: the brute-force scan's row subsets are nearly all of full rank.
 """
 
 from __future__ import annotations
@@ -204,9 +207,35 @@ class NullBasis(NamedTuple):
     norm: float
 
     def row_ranks(self, rows: np.ndarray) -> np.ndarray:
-        """rank(N[rows[s]]) for every row s of the sets x size index array ``rows``,
-        from one stacked SVD (see :func:`_stacked_ranks`)."""
-        return _stacked_ranks(self.N[rows], self.row_tol)
+        """rank(N[rows[s]]) for every row s of the sets x size index array ``rows``.
+
+        A stack of two or more sets goes to the full-rank certificate first
+        (:func:`_full_rank_certified`); one stacked SVD (:func:`_stacked_ranks`)
+        ranks only the sets it leaves undecided, so every count is the one
+        ``null_basis`` reads.  Sets with fewer than d = min(size, k) rows of N
+        above the row cutoff skip the certificate: their sigma_d is at most
+        the 2-norm of their rows at or below it, so the certificate could
+        rarely prove them full rank.  A single set, such as a node verdict,
+        goes straight to the SVD.
+        """
+        count, size = rows.shape
+        d = min(size, self.N.shape[1])
+        if count == 0:
+            return np.zeros(0, dtype=int)
+        if count == 1 or d == 0:
+            return _stacked_ranks(self.N[rows], self.row_tol)
+        strong = np.linalg.norm(self.N, axis=1) > self.row_tol
+        if strong.all():
+            undecided = ~_full_rank_certified(self.N[rows], self.row_tol)
+        else:
+            undecided = strong[rows].sum(axis=1) < d
+            offered = np.flatnonzero(~undecided)
+            if len(offered):
+                undecided[offered] = ~_full_rank_certified(self.N[rows[offered]], self.row_tol)
+        ranks = np.full(count, d)
+        if undecided.any():
+            ranks[undecided] = _stacked_ranks(self.N[rows[undecided]], self.row_tol)
+        return ranks
 
 
 #: c in the guard band eta = c * max(rows, k) * eps * sigma_1(M) of
@@ -229,6 +258,9 @@ def _stacked_ranks(M: np.ndarray, tol) -> np.ndarray:
     with a singular value within eta of its cutoff is ranked again with the
     ``full_matrices`` flag of ``null_basis``, whose values the count then
     reads.  ``tol`` is a scalar or one cutoff per matrix.
+
+    ``hidden_ranks`` sends every stack here; ``NullBasis.row_ranks`` sends
+    only the matrices that :func:`_full_rank_certified` leaves undecided.
     """
     count, rows, k = M.shape
     if rows == 0 or k == 0:
@@ -242,6 +274,90 @@ def _stacked_ranks(M: np.ndarray, tol) -> np.ndarray:
         s = np.linalg.svd(M[near], full_matrices=rows < k)[1]
         ranks[near] = (s > tol[near]).sum(axis=-1)
     return ranks
+
+
+#: Relative slack on each term of the bound of ``_full_rank_certified``.  A
+#: term takes a few dozen rounded operations on positive numbers, and the
+#: exponent of its exp is below 1500 d in magnitude, so the term's own
+#: rounding stays under 1e-6 of it for any d below 1000.
+_CERT_SLACK = 2.0**-20
+
+#: ||M||_F^2 range of the matrices ``_full_rank_certified`` bounds; outside
+#: it no intermediate can overflow, and gradual underflow (an absolute error
+#: of at most 2^-1074 per operation) stays far below u times every term.
+_CERT_SCALE = 2.0**400
+
+
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u) for the unit roundoff u = eps / 2."""
+    return n * (_EPS / 2) / (1 - n * (_EPS / 2))
+
+
+def _full_rank_certified(M: np.ndarray, tol: float) -> np.ndarray:
+    """True for each rows x k matrix of the stack M that provably has all
+    d = min(rows, k) singular values above tol + eta, where eta =
+    ``GUARD_FACTOR`` * max(rows, k) * eps * ||M||_F is the guard band of
+    :func:`_stacked_ranks` (||M||_F >= sigma_1).  Both SVD paths are
+    backward stable and move a singular value by well under eta (the
+    measurement behind ``GUARD_FACTOR``), so both count d.  False decides
+    nothing: the caller ranks those matrices by SVD.
+
+    Let B = M when square, else its Gram matrix M^T M or M M^T (d x d), so
+    sigma_min(M)^2 = sigma_min(B).  With the unit roundoff u, gamma_n =
+    n u / (1 - n u), p = max(rows, k) and the theorems of Higham, *Accuracy
+    and Stability of Numerical Algorithms* (2nd ed., 2002):
+
+    1. Gram rounding.  The computed B^ = B + E with |E| <= gamma_p |M|^T |M|
+       (section 3.5), so ||E||_2 <= e_G = gamma_p ||M||_F^2 (0 when B = M).
+    2. LU.  ``slogdet`` factors B^ by LU with partial pivoting, L^ U^ =
+       Pi (B^ + F) with |F| <= gamma_d |Pi^T L^| |U^| (Thm 9.3), |l_ij| <= 1
+       and |u_ij| <= 2^(d-1) beta, beta = max |b^_ij| (growth <= 2^(d-1)).
+       Every entry of F is at most gamma_d d 2^(d-1) beta, so ||F||_2 <=
+       e_LU = gamma_d d^2 2^(d-1) beta.
+    3. Pivot product.  X = B^ + F has |det X| = prod |u_ii|, and ``slogdet``
+       returns l^, the rounded sum of the rounded logs |u_ii| (each within one
+       ulp), so |l^ - log |det X|| <= gamma_(d+2) sum |log |u_ii||.  As
+       log |u_ii| <= Lam = d log 2 + log beta (a factor 2 to spare for the
+       rounding of the growth), that sum is at most
+       2 d max(Lam, 0) - log |det X|, hence |l^ - log |det X|| <= delta =
+       gamma_(d+2) (2 d max(Lam, 0) - l^) / (1 - gamma_(d+2)).
+
+    Since |det X| <= sigma_min(X) sigma_max(X)^(d-1) and sigma_max(X) <=
+    s = sqrt(||B^||_1) sqrt(||B^||_inf) + e_LU,
+
+        sigma_min(X) >= exp(l^ - delta - (d - 1) log s),
+
+    and Weyl's inequality gives sigma_min(B) >= sigma_min(X) - e_LU - e_G.
+    Each term is shrunk or grown by ``_CERT_SLACK`` against the rounding of
+    its own evaluation.  Only matrices with ||M||_F^2 within a factor
+    ``_CERT_SCALE`` of 1 are bounded; the others, like exactly singular ones
+    (l^ = -inf), are not certified.
+    """
+    count, rows, k = M.shape
+    d, p = min(rows, k), max(rows, k)
+    fro2 = np.einsum("sij,sij->s", M, M)
+    if rows == k:
+        B, e_G = M, 0.0
+    else:
+        B = M @ M.transpose(0, 2, 1) if rows < k else M.transpose(0, 2, 1) @ M
+        e_G = _gamma(p) * fro2
+    absB = np.abs(B)
+    beta = absB.max(axis=(1, 2))
+    scaled = (fro2 >= 1 / _CERT_SCALE) & (fro2 <= _CERT_SCALE)
+    beta[~scaled] = 1.0  # keeps the logs finite; these are not certified
+    e_LU = _gamma(d) * d * d * 2.0 ** (d - 1) * beta
+    s = np.sqrt(absB.sum(axis=1).max(axis=1)) * np.sqrt(absB.sum(axis=2).max(axis=1))
+    s = (s + e_LU) * (1 + _CERT_SLACK)
+    logdet = np.linalg.slogdet(B)[1]
+    g = _gamma(d + 2)
+    lam = d * np.log(2.0) + np.log(beta)
+    delta = g * (2 * d * np.maximum(lam, 0.0) - logdet) / (1 - g) * (1 + _CERT_SLACK)
+    low = np.exp(logdet - delta - (d - 1) * np.log(s)) * (1 - _CERT_SLACK)
+    low -= (e_LU + e_G) * (1 + _CERT_SLACK)
+    if rows != k:
+        low = np.sqrt(np.maximum(low, 0.0))
+    eta = GUARD_FACTOR * rank_tolerance(M, np.sqrt(fro2))
+    return scaled & (low * (1 - _CERT_SLACK) > (tol + eta) * (1 + _CERT_SLACK))
 
 
 def hidden_ranks(kernels: list[NullBasis], rows) -> list[int]:

@@ -376,6 +376,24 @@ class TestBlockedEnumeration:
             assert intrinsic._level_holds(kern, n, level)
             assert sum(len(rows) for rows in calls) == math.comb(n, level)
 
+    def test_certified_levels_make_no_svd_call(self, monkeypatch):
+        # Every first test N_{P+j} of a dense null basis at levels below k is
+        # certified full rank, and no set is short, so no SVD runs.  Level 0
+        # has one set, and a one-set stack goes straight to the SVD.
+        system = rotated_permutation(16, 5, seed=11)
+        kern = null_basis(build_bundle(system).O_ob)
+        calls = []
+        svd = np.linalg.svd
+
+        def counted_svd(M, *args, **kwargs):
+            calls.append(M.shape)
+            return svd(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        for level in range(5):
+            assert intrinsic._level_holds(kern, system.n, level)
+        assert calls == [(1, 1, 5)]
+
     def test_short_first_test_still_ranks_the_disclosure_set(self, monkeypatch):
         # Chain nodes 0-5 have zero rows of N, so every first test (hidden
         # node 0 or 1) falls short and each set's rank(N_P) is computed; the

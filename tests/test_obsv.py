@@ -23,7 +23,9 @@ from ivpaudit import (
     sample_configuration,
     select_columns,
 )
+from ivpaudit import obsv
 from ivpaudit.obsv import (
+    GUARD_FACTOR,
     ROW_TOL_FACTOR,
     NullBasis,
     _output_power_blocks,
@@ -33,6 +35,8 @@ from ivpaudit.obsv import (
     stacked_maps,
 )
 from conftest import sweep_hidden_rank_identity
+from rank_kernel_sweep import ROW_TOLS, full_path_ranks
+from rank_kernel_sweep import basis as sweep_basis
 
 
 def line3_observability_poly(theta):
@@ -323,17 +327,25 @@ class TestNullBasis:
         kern = NullBasis(rank=n - k, N=N, tol=1e-12, row_tol=float(row_tol), norm=1.0)
         other = NullBasis(rank=n - k, N=N[::-1].copy(), tol=1e-12, row_tol=1e-10, norm=1.0)
 
-        # (matrices in the stack, U and Vt formed) for each SVD call
-        calls = []
+        # (matrices in the stack, U and Vt formed) and the stack of each SVD call
+        calls, stacks = [], []
         svd = np.linalg.svd
 
         def counted_svd(M, *args, **kwargs):
             calls.append((M.shape[0], kwargs.get("compute_uv", True)))
+            stacks.append(M)
             return svd(M, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
         ranks = kern.row_ranks(sets)
-        assert calls[0] == (len(sets), False)
+        # The tie set is not certified and reaches the first SVD, without U
+        # and Vt; no certified set reaches any SVD.
+        certified = obsv._full_rank_certified(N[sets], kern.row_tol)
+        assert not certified[0]
+        assert calls[0][1] is False
+        assert any(np.array_equal(M, N[sets[0]]) for M in stacks[0])
+        ranked = [M for stack in stacks for M in stack]
+        assert not any(np.array_equal(M, N[P]) for P in sets[certified] for M in ranked)
         assert 1 <= sum(count for count, uv in calls[1:] if uv) < len(sets)
         calls.clear()
         hidden = hidden_ranks([kern, other], sets[0])
@@ -417,6 +429,97 @@ class TestNullBasis:
         import ivpaudit
 
         assert "null_basis" not in ivpaudit.__all__
+
+    def test_single_and_empty_stacks_skip_the_certificate(self, monkeypatch):
+        # A one-set stack (a node verdict) goes straight to the SVD, and an
+        # empty stack returns before any linear algebra.
+        N = np.linalg.qr(np.random.default_rng(3).standard_normal((5, 3)))[0]
+        kern = NullBasis(rank=2, N=N, tol=1e-12, row_tol=1e-10, norm=1.0)
+        calls = []
+        svd = np.linalg.svd
+
+        def counted_svd(M, *args, **kwargs):
+            calls.append(M.shape)
+            return svd(M, *args, **kwargs)
+
+        def refuse(M, tol):
+            raise AssertionError("certificate called")
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(obsv, "_full_rank_certified", refuse)
+        assert kern.row_ranks(np.array([[0, 2, 4]])).tolist() == [3]
+        assert calls == [(1, 3, 3)]
+        calls.clear()
+        empty = kern.row_ranks(np.zeros((0, 2), dtype=np.intp))
+        assert empty.shape == (0,) and calls == []
+
+
+class TestFullRankCertificate:
+    @pytest.mark.parametrize("seed", range(2))
+    def test_never_certifies_a_short_count(self, seed):
+        # Every row subset of random bases and of the same bases rotated by a
+        # random orthogonal k x k matrix, at each row cutoff: a certified
+        # matrix has full count on the path null_basis takes.
+        rng = np.random.default_rng(seed)
+        certified = full = 0
+        for n in range(3, 9):
+            for k in range(1, n + 1):
+                N = sweep_basis(rng, n, k)
+                G = np.linalg.qr(rng.standard_normal((k, k)))[0]
+                for basis in (N, N @ G):
+                    for size in range(1, n + 1):
+                        M = basis[np.array(list(itertools.combinations(range(n), size)))]
+                        for tol in ROW_TOLS:
+                            cert = obsv._full_rank_certified(M, tol)
+                            counts = full_path_ranks(M, tol)
+                            assert (counts[cert] == min(size, k)).all()
+                            certified += int(cert.sum())
+                            full += int((counts == min(size, k)).sum())
+        # The certificate also decides most full-rank matrices.
+        assert certified > 0.6 * full
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (3, 5), (5, 3)])
+    @pytest.mark.parametrize("basis", ["diagonal", "rotated"])
+    @pytest.mark.parametrize("smallest", [0.5, 1e-9])
+    def test_singular_value_at_the_band_edge(self, shape, basis, smallest):
+        # sigma_min placed one ulp below, at and one ulp above tol + eta:
+        # at or below it, the matrix is not certified.  For the 2 x 2 diagonal
+        # matrix with sigma_min = 1e-9 the bound is within eta of sigma_min.
+        rng = np.random.default_rng(43)
+        rows, k = shape
+        d = min(shape)
+        M = np.zeros(shape)
+        M[range(d), range(d)] = np.linspace(1.0, 0.5, d)
+        M[d - 1, d - 1] = smallest
+        if basis == "rotated":
+            M = np.linalg.qr(rng.standard_normal((rows, rows)))[0] @ M
+            M = M @ np.linalg.qr(rng.standard_normal((k, k)))[0]
+        s_min = np.linalg.svd(M, full_matrices=rows < k)[1][-1]
+        eta = GUARD_FACTOR * rank_tolerance(M, np.sqrt(np.einsum("ij,ij->", M, M)))
+        tol = s_min - eta
+        for _ in range(4):
+            tol = np.nextafter(tol, 0.0)
+        seen = set()
+        for _ in range(9):
+            edge = tol + eta
+            side = "below" if s_min < edge else "at" if s_min == edge else "above"
+            seen.add(side)
+            cert = obsv._full_rank_certified(M[np.newaxis], float(tol))[0]
+            if side != "above":
+                assert not cert
+            tol = np.nextafter(tol, 1.0)
+        assert seen == {"below", "at", "above"}
+
+    @pytest.mark.parametrize("d", [8, 10, 12])
+    def test_worst_growth_matrix_below_the_cutoff(self, d):
+        # Wilkinson's matrix has growth 2^(d-1) under partial pivoting.  Scaled
+        # so that sigma_min sits just below the cutoff, it is not certified.
+        W = np.eye(d) - np.tril(np.ones((d, d)), -1)
+        W[:, -1] = 1.0
+        tol = 1e-3
+        M = W * (tol / np.linalg.svd(W, compute_uv=False)[-1]) * (1 - 1e-12)
+        assert full_path_ranks(M[np.newaxis], tol)[0] < d
+        assert not obsv._full_rank_certified(M[np.newaxis], tol)[0]
 
 
 class TestSelectors:

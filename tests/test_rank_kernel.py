@@ -1,14 +1,15 @@
 """One rank kernel: of the package's modules only ``obsv`` references the
 linear-algebra routines that make a rank decision of their own (an SVD, a
-pseudo-inverse, least squares, a matrix rank), so every rank verdict is read
-off ``obsv.null_basis``."""
+pseudo-inverse, least squares, a matrix rank, or a determinant, which the
+full-rank certificate reads), so every rank verdict is read off
+``obsv.null_basis``."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-RANK_ROUTINES = {"svd", "pinv", "lstsq", "matrix_rank"}
+RANK_ROUTINES = {"svd", "pinv", "lstsq", "matrix_rank", "det", "slogdet"}
 
 
 def _rank_routine_references() -> dict:
