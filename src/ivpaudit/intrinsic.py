@@ -15,7 +15,8 @@ All three depend only on the null space of O_ob.  One SVD of O_ob
 node i is private iff row N_i lies outside the row span of N_P, the ranks
 above follow from rank(N_P) and rank(N_{P+i}), the whole vector is private
 iff k > 0, and the privacy index is k - 1.  The exhaustive cross-check
-``privacy_index_bruteforce`` ranks blocks of disclosure sets at once
+``privacy_index_bruteforce`` enumerates disclosure sets of the support of N
+only, the nodes whose row of N is nonzero, and ranks blocks of them at once
 (``NullBasis.row_ranks``) rather than testing one node at a time.  Each set
 is ranked once unless its first test N_{P+j} falls short of full rank:
 deleting a row interlaces the singular values, so a full-rank N_{P+j}
@@ -36,7 +37,7 @@ import numpy as np
 
 from ._util import integer
 from .errors import ConditioningError, ValidationError
-from .obsv import NullBasis, build_bundle, null_basis
+from .obsv import GUARD_FACTOR, NullBasis, build_bundle, null_basis
 from .sysmodel import DisclosureSet, LinearSystem
 
 __all__ = [
@@ -227,7 +228,8 @@ def privacy_index(sys: LinearSystem, rank_tol: float | None = None) -> IndexRepo
 
 
 def _level_holds(kern: NullBasis, n: int, level: int) -> bool:
-    """True when every disclosure set of the given size leaves a private node.
+    """True when every disclosure set of the given size of the n rows of
+    ``kern.N`` (the support rows, in the brute-force scan) leaves a private node.
 
     Node j is private under P iff rank(N_{P+j}) = rank(N_P) + 1.  The sets
     come in blocks that start at ``FIRST_BLOCK`` and double up to
@@ -267,27 +269,30 @@ def privacy_index_bruteforce(
 ) -> IndexReport:
     """Exhaustive index: scan disclosure sizes upward, enumerating every set.
 
-    Works only for small networks (n <= 22).  Losing privacy is monotone in
-    the disclosure set, so the first failing size terminates the scan.  Each
-    size's sets are ranked in blocks by ``NullBasis.row_ranks``, with the
-    verdicts of the node test: a determinant bound proves most row subsets
-    of the null basis full rank, and stacked SVDs rank the rest.
+    Works only for small networks (n <= 22).  A node whose row of N is zero
+    is never private and adds nothing to rank(N_P), so only the s support
+    nodes, rows above min(``row_tol``, ``GUARD_FACTOR`` n eps), are
+    enumerated: a row at or below both moves no singular value of N_P by
+    more than the rank kernel's guard band, and sizes l >= s fail.  Losing
+    privacy is monotone in the disclosure set, so the first failing size
+    terminates the scan.  Each size's sets are ranked in blocks by
+    ``NullBasis.row_ranks``, with the verdicts of the node test: a
+    determinant bound proves most row subsets of the null basis full rank,
+    and stacked SVDs rank the rest.
 
     A set whose first test N_{P+j} has full rank is ranked once; the others
     also need rank(N_P) (see :func:`_level_holds`).  The cap still admits
-    scans of about a minute, in bounded memory (a block holds at most
+    scans of about 17 s, in bounded memory (a block holds at most
     ``MAX_BLOCK`` sets); on a 2-core machine:
 
     - n = 16 with 5 hidden states in random orthogonal coordinates: about
       5 ms.
     - n = 22 with 11 isolated nodes next to a chain of 11 measured at its
-      end (k = 11): levels 0 to 11 rank about 2.4 M sets, 20 M row subsets
-      in all, in about 47 s.  The chain's rows of N are zero, so every
-      first test falls short, every N_P is ranked as well, and only the
-      row subsets without a chain row can be certified.
+      end (k = 11): the chain's rows of N are zero, so the scan ranks the
+      2,047 sets of the 11 isolated rows, in about 6 ms.
     - n = 22 with A = 0 and one sensor reading every node (rank(O_ob) = 1,
       k = 21, no zero row): every level below 21 holds, and the scan ranks
-      all 4.2 M sets, each once, in about 20 s.
+      all 4.2 M sets, each once, in about 17 s.
     """
     n = sys.n
     if n > BRUTEFORCE_MAX_NODES:
@@ -296,9 +301,12 @@ def privacy_index_bruteforce(
         )
     l_max = n - 1 if l_max is None else min(integer(l_max, "l_max", 0), n - 1)
     kern = null_basis(build_bundle(sys).O_ob, rank_tol)
+    cut = min(kern.row_tol, GUARD_FACTOR * n * np.finfo(float).eps)
+    support = kern._replace(N=kern.N[np.linalg.norm(kern.N, axis=1) > cut])
+    s = support.N.shape[0]
     achieved = -1
-    for level in range(l_max + 1):
-        if not _level_holds(kern, n, level):
+    for level in range(min(l_max, s - 1) + 1):
+        if not _level_holds(support, s, level):
             break
         achieved = level
     return IndexReport(index=achieved, rank_Oob=kern.rank, method="brute_force")

@@ -23,9 +23,10 @@ Both count singular values of a stack of row subsets without forming U and
 Vt, and rank again with U and Vt only the matrices with a singular value
 within a rounding band of the cutoff, so every count is the one
 ``null_basis`` would read (``_stacked_ranks``).  ``row_ranks`` first proves
-full rank where it can, from a rigorous lower bound on sigma_min read off an
-LU determinant (``_full_rank_certified``), and sends only the rest to the
-SVD: the brute-force scan's row subsets are nearly all of full rank.
+full rank where it can, from a rigorous lower bound on sigma_min read off the
+LU determinant of each subset's Gram matrix (``_full_rank_certified``), and
+sends only the rest to the SVD: the brute-force scan ranks row subsets of
+the nonzero rows of N, and nearly all of them have full rank.
 """
 
 from __future__ import annotations
@@ -212,11 +213,8 @@ class NullBasis(NamedTuple):
         A stack of two or more sets goes to the full-rank certificate first
         (:func:`_full_rank_certified`); one stacked SVD (:func:`_stacked_ranks`)
         ranks only the sets it leaves undecided, so every count is the one
-        ``null_basis`` reads.  Sets with fewer than d = min(size, k) rows of N
-        above the row cutoff skip the certificate: their sigma_d is at most
-        the 2-norm of their rows at or below it, so the certificate could
-        rarely prove them full rank.  A single set, such as a node verdict,
-        goes straight to the SVD.
+        ``null_basis`` reads.  A single set, such as a node verdict, goes
+        straight to the SVD.
         """
         count, size = rows.shape
         d = min(size, self.N.shape[1])
@@ -224,14 +222,7 @@ class NullBasis(NamedTuple):
             return np.zeros(0, dtype=int)
         if count == 1 or d == 0:
             return _stacked_ranks(self.N[rows], self.row_tol)
-        strong = np.linalg.norm(self.N, axis=1) > self.row_tol
-        if strong.all():
-            undecided = ~_full_rank_certified(self.N[rows], self.row_tol)
-        else:
-            undecided = strong[rows].sum(axis=1) < d
-            offered = np.flatnonzero(~undecided)
-            if len(offered):
-                undecided[offered] = ~_full_rank_certified(self.N[rows[offered]], self.row_tol)
+        undecided = ~_full_rank_certified(self.N[rows], self.row_tol)
         ranks = np.full(count, d)
         if undecided.any():
             ranks[undecided] = _stacked_ranks(self.N[rows[undecided]], self.row_tol)
@@ -302,13 +293,13 @@ def _full_rank_certified(M: np.ndarray, tol: float) -> np.ndarray:
     measurement behind ``GUARD_FACTOR``), so both count d.  False decides
     nothing: the caller ranks those matrices by SVD.
 
-    Let B = M when square, else its Gram matrix M^T M or M M^T (d x d), so
-    sigma_min(M)^2 = sigma_min(B).  With the unit roundoff u, gamma_n =
-    n u / (1 - n u), p = max(rows, k) and the theorems of Higham, *Accuracy
-    and Stability of Numerical Algorithms* (2nd ed., 2002):
+    Let B be the Gram matrix on the smaller side, M M^T when rows <= k, else
+    M^T M (d x d), so sigma_min(M)^2 = sigma_min(B).  With the unit roundoff
+    u, gamma_n = n u / (1 - n u), p = max(rows, k) and the theorems of
+    Higham, *Accuracy and Stability of Numerical Algorithms* (2nd ed., 2002):
 
-    1. Gram rounding.  The computed B^ = B + E with |E| <= gamma_p |M|^T |M|
-       (section 3.5), so ||E||_2 <= e_G = gamma_p ||M||_F^2 (0 when B = M).
+    1. Gram rounding.  The computed B^ = B + E with |E| <= gamma_p |M| |M|^T
+       (section 3.5; |M|^T |M| for M^T M), so ||E||_2 <= e_G = gamma_p ||M||_F^2.
     2. LU.  ``slogdet`` factors B^ by LU with partial pivoting, L^ U^ =
        Pi (B^ + F) with |F| <= gamma_d |Pi^T L^| |U^| (Thm 9.3), |l_ij| <= 1
        and |u_ij| <= 2^(d-1) beta, beta = max |b^_ij| (growth <= 2^(d-1)).
@@ -336,26 +327,21 @@ def _full_rank_certified(M: np.ndarray, tol: float) -> np.ndarray:
     count, rows, k = M.shape
     d, p = min(rows, k), max(rows, k)
     fro2 = np.einsum("sij,sij->s", M, M)
-    if rows == k:
-        B, e_G = M, 0.0
-    else:
-        B = M @ M.transpose(0, 2, 1) if rows < k else M.transpose(0, 2, 1) @ M
-        e_G = _gamma(p) * fro2
-    absB = np.abs(B)
+    B = M @ M.transpose(0, 2, 1) if rows <= k else M.transpose(0, 2, 1) @ M
+    logdet = np.linalg.slogdet(B)[1]
+    absB = np.abs(B, out=B)  # B is no longer read: one d x d stack less
     beta = absB.max(axis=(1, 2))
     scaled = (fro2 >= 1 / _CERT_SCALE) & (fro2 <= _CERT_SCALE)
     beta[~scaled] = 1.0  # keeps the logs finite; these are not certified
     e_LU = _gamma(d) * d * d * 2.0 ** (d - 1) * beta
     s = np.sqrt(absB.sum(axis=1).max(axis=1)) * np.sqrt(absB.sum(axis=2).max(axis=1))
     s = (s + e_LU) * (1 + _CERT_SLACK)
-    logdet = np.linalg.slogdet(B)[1]
     g = _gamma(d + 2)
     lam = d * np.log(2.0) + np.log(beta)
     delta = g * (2 * d * np.maximum(lam, 0.0) - logdet) / (1 - g) * (1 + _CERT_SLACK)
     low = np.exp(logdet - delta - (d - 1) * np.log(s)) * (1 - _CERT_SLACK)
-    low -= (e_LU + e_G) * (1 + _CERT_SLACK)
-    if rows != k:
-        low = np.sqrt(np.maximum(low, 0.0))
+    low -= (e_LU + _gamma(p) * fro2) * (1 + _CERT_SLACK)
+    low = np.sqrt(np.maximum(low, 0.0))
     eta = GUARD_FACTOR * rank_tolerance(M, np.sqrt(fro2))
     return scaled & (low * (1 - _CERT_SLACK) > (tol + eta) * (1 + _CERT_SLACK))
 

@@ -10,9 +10,10 @@ every k, is ranked at row cutoffs 0, 1e-13, 1e-10, 1e-8 and 1e-3 three ways:
 - ``_stacked_ranks``: the guarded SVD alone, as ``hidden_ranks`` runs it;
 - the SVD with U and Vt that ``null_bases`` takes, the reference count.
 
-It prints the matrices ranked, the certified share and the disagreements,
-and exits 1 on any disagreement or on any certified matrix whose reference
-count is short of full rank.
+It prints the matrices ranked, the certified share of all full-rank matrices
+and of the square ones (rows == k), and the disagreements, and exits 1 on any
+disagreement or on any certified matrix whose reference count is short of
+full rank.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def main(argv: list[str]) -> int:
     seed = int(argv[0]) if argv else 0
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
-    matrices = certified = full = 0
+    matrices = certified = full = square_certified = square_full = 0
     disagree = {"row_ranks": 0, "_stacked_ranks": 0, "certified short": 0}
     for n in range(3, 13):
         subsets = [np.array(list(itertools.combinations(range(n), size)), dtype=np.intp)
@@ -71,10 +72,14 @@ def main(argv: list[str]) -> int:
                         certified += int(cert.sum())
                         full += int((want == d).sum())
                         disagree["certified short"] += int((want[cert] < d).sum())
+                        if M.shape[1] == k:
+                            square_certified += int(cert.sum())
+                            square_full += int((want == d).sum())
                         disagree["row_ranks"] += int((kern.row_ranks(sets) != want).sum())
                         disagree["_stacked_ranks"] += int((_stacked_ranks(M, tol) != want).sum())
     print(f"seed {seed}: {matrices} row subsets (n = 3-12, row cutoffs {ROW_TOLS}), "
-          f"{full} of full rank, {certified} certified ({certified / max(full, 1):.1%} of full rank), "
+          f"{full} of full rank, {certified} certified ({certified / max(full, 1):.1%} of full rank; "
+          f"square {square_certified} of {square_full}, {square_certified / max(square_full, 1):.1%}), "
           f"disagreements {disagree}, {time.perf_counter() - start:.1f} s; numpy {np.__version__}")
     return 1 if any(disagree.values()) else 0
 

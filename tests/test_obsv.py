@@ -521,6 +521,17 @@ class TestFullRankCertificate:
         assert full_path_ranks(M[np.newaxis], tol)[0] < d
         assert not obsv._full_rank_certified(M[np.newaxis], tol)[0]
 
+    def test_lu_growth_term_keeps_a_near_singular_gram_uncertified(self):
+        # sigma_min = 1e-2 gives a Gram determinant of 1e-4, and the bound
+        # divides it by s^20 with s = ||B||_1 near 2.2, so about 1e-11 of it
+        # is left: less than the LU error term e_LU with its 2^(d-1) growth
+        # factor (about 1e-6), more than the term without it (about 1e-12).
+        rng = np.random.default_rng(21)
+        U, V = (np.linalg.qr(rng.standard_normal((21, 21)))[0] for _ in range(2))
+        M = U @ np.diag([1.0] * 20 + [1e-2]) @ V.T
+        assert full_path_ranks(M[np.newaxis], 0.0)[0] == 21
+        assert not obsv._full_rank_certified(M[np.newaxis], 0.0)[0]
+
 
 class TestSelectors:
     def test_selector_columns(self):
