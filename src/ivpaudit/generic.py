@@ -187,9 +187,11 @@ def _kernel_blocks(
             _sampled_system(structure, rngs[step], len(list(run)), signed)
             for step, run in itertools.groupby(block, key=lambda draw: draw[0])
         ])
-        # One expression, so that A, the power blocks and O_ob are freed once read.
+        # One expression, so that A, the power blocks and O_ob are freed once read;
+        # the blocks come as (n, samples, m, n) and O_ob as (samples, mn, n).
         yield block, null_bases(
-            np.concatenate(_output_power_blocks(*fill_weights(structure, theta), structure.n), axis=-2)
+            _output_power_blocks(*fill_weights(structure, theta), structure.n)
+            .swapaxes(0, 1).reshape(len(theta), -1, structure.n)
         )
 
 

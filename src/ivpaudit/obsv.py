@@ -58,19 +58,25 @@ POWER_OVERFLOW_LIMIT = 1e150
 _EPS = np.finfo(float).eps
 
 
-def _output_power_blocks(A: np.ndarray, C: np.ndarray, count: int) -> list[np.ndarray]:
-    """[C, CA, ..., CA^(count-1)] with an overflow guard on each step."""
-    blocks = [C]
+def _output_power_blocks(A: np.ndarray, C: np.ndarray, count: int) -> np.ndarray:
+    """C, CA, ..., CA^(count-1) written into one (count, ..., m, n) array, with
+    an overflow guard on each step; a 2-D C gives O_T by a free reshape."""
+    out = np.empty((count, *C.shape))
+    out[0] = C
     for k in range(1, count):
-        nxt = blocks[-1] @ A
+        nxt = np.matmul(out[k - 1], A, out=out[k])
         peak = float(np.abs(nxt).max(initial=0.0))
         if not np.isfinite(peak) or peak > POWER_OVERFLOW_LIMIT:
             raise ConditioningError(
                 f"entries of C A^{k} exceed {POWER_OVERFLOW_LIMIT:g}; "
                 "the horizon is too long for this spectral radius"
             )
-        blocks.append(nxt)
-    return blocks
+    return out
+
+
+def _stacked_powers(A: np.ndarray, C: np.ndarray, T: int) -> np.ndarray:
+    """O_T, the blocks C A^k for k = 0 .. T stacked as one (m(T+1), n) matrix."""
+    return _output_power_blocks(A, C, T + 1).reshape(-1, C.shape[-1])
 
 
 def stacked_maps(A: np.ndarray, C: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
@@ -80,7 +86,7 @@ def stacked_maps(A: np.ndarray, C: np.ndarray, T: int) -> tuple[np.ndarray, np.n
     first block row.
     """
     T = integer(T, "T", 0)
-    O_T = np.vstack(_output_power_blocks(A, C, T + 1))
+    O_T = _stacked_powers(A, C, T)
     return O_T, _noise_map(O_T, T)
 
 
@@ -128,7 +134,7 @@ def build_bundle(sys: LinearSystem, T: int | None = None) -> ObservabilityBundle
     require_lti(sys)
     n = sys.n
     T = _horizon(n, T)
-    O_T = np.vstack(_output_power_blocks(sys.A, sys.C, T + 1))
+    O_T = _stacked_powers(sys.A, sys.C, T)
     O_T.flags.writeable = False  # O_ob, a view, is read-only too
     return ObservabilityBundle(n=n, m=sys.m, T=T, O_ob=O_T[: sys.m * n], O_T=O_T)
 

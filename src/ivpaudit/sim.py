@@ -55,7 +55,7 @@ import numpy as np
 from ._util import derive_seed, integer, real
 from .errors import ConditioningError, ValidationError
 from .dp import _joint_covariance, _noise_covariance, _radius, q_function
-from .obsv import _output_power_blocks, null_basis, rank_tolerance
+from .obsv import _stacked_powers, null_basis, rank_tolerance
 from .sysmodel import LinearSystem, require_lti
 
 __all__ = [
@@ -447,7 +447,7 @@ def mle_attack(sys: LinearSystem, batch: TrajectoryBatch) -> AttackResult:
 
 def _attack(sys: LinearSystem, ybar: np.ndarray, N: int, T: int) -> AttackResult:
     """``mle_attack`` on the mean ``ybar`` of N output trajectories of horizon T."""
-    O_T = np.vstack(_output_power_blocks(sys.A, sys.C, T + 1))
+    O_T = _stacked_powers(sys.A, sys.C, T)
     sigma = _noise_covariance(sys, O_T, T)
 
     lam, U = np.linalg.eigh(sigma)
@@ -596,7 +596,7 @@ def empirical_dp_report(
     batches = [
         simulate(sys, x, N_runs, T, seed=derive_seed(seed, j)) for j, x in enumerate(x0s)
     ]
-    O_T = np.vstack(_output_power_blocks(sys.A, sys.C, T + 1))
+    O_T = _stacked_powers(sys.A, sys.C, T)
     sigma = _noise_covariance(sys, O_T, T)
     means = [O_T @ x for x in x0s]
     # Every ordered pair (J[p], K[p]), j != k, in j-major order.

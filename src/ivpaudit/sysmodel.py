@@ -73,9 +73,9 @@ def _as_float_matrix(value, path: str, rows: int | None = None, cols: int | None
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
+    """``arr``, a float array no caller shares, made read-only in place."""
+    arr.flags.writeable = False
+    return arr
 
 
 def _check_psd(sigma: np.ndarray, path: str) -> np.ndarray:
@@ -295,7 +295,7 @@ class Configuration:
 
     def __post_init__(self) -> None:
         try:
-            theta = np.asarray(self.theta, dtype=float)
+            theta = np.array(self.theta, dtype=float)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"theta: not a numeric vector ({exc})") from None
         if theta.ndim != 1:

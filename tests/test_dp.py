@@ -519,3 +519,66 @@ class TestNoNoiseMapBuilt:
         np.testing.assert_array_equal(H, stacked_maps(system.A, system.C, 6)[1])
         assert not H.flags.writeable
         assert bundle.H_T is H
+
+
+def iid_of_kind(rng, kind, n, m) -> LinearSystem:
+    """A dense random system, or A = r Q with Q orthogonal: r = 1 for a rotated
+    system, r = 3 for an unstable one."""
+    if kind == "random":
+        return random_iid(rng, n, m)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    radius = 1.0 if kind == "rotated" else 3.0
+    return make_iid(radius * Q, rng.standard_normal((m, n)), 1.0, 1.0)
+
+
+KINDS = ["random", "rotated", "unstable"]
+
+
+class TestNormsByEigensolve:
+    """||O_T|| and the refined lhs from eigvalsh agree with the SVD norm."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_norm_OT_matches_svd(self, kind, m):
+        rng = np.random.default_rng(480 + m)
+        for n in (2, 5, 9, 16):
+            system = iid_of_kind(rng, kind, n, m)
+            for T in (n - 1, n + 3):
+                O_T = build_bundle(system, T).O_T
+                assert dp._norm_OT(O_T) == pytest.approx(np.linalg.norm(O_T, 2), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("scale", [1e140, 1e-140, 1e200, 1e-200])
+    def test_norm_OT_scaled_far_from_one(self, scale):
+        # At 1e+-200 an unscaled Gram matrix would overflow or underflow.
+        O = np.random.default_rng(491).standard_normal((12, 5))
+        want = np.linalg.norm(O, 2) * scale
+        assert dp._norm_OT(O * scale) == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_norm_OT_of_a_zero_map_is_zero(self):
+        assert str(dp._norm_OT(np.zeros((4, 3)))) == "0.0"
+
+    def test_norm_OT_of_the_identity_is_exact(self):
+        assert dp._norm_OT(np.eye(4)) == 1.0
+        assert dp._norm_OT(np.vstack([np.eye(3)] * 4)) == 2.0
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_refined_lhs_matches_svd(self, kind, m):
+        rng = np.random.default_rng(493 + m)
+        for n in (3, 8, 11):
+            system = iid_of_kind(rng, kind, n, m)
+            T = n + 2
+            budget = DpBudget(epsilon=1, delta=0.05, d=1, N=2, T=T)
+            O_T = build_bundle(system, T).O_T
+            gram = O_T.T @ np.linalg.solve(effective_covariance(system, T), O_T)
+            sym = 0.5 * (gram + gram.T)
+            lhs = check_dp(system, budget, refined=True).lhs
+            assert lhs == dp._symmetric_norm(sym)
+            assert lhs == pytest.approx(np.linalg.norm(sym, 2), rel=1e-13, abs=0)
+
+    def test_symmetric_norm_reads_the_most_negative_eigenvalue(self):
+        Q = np.linalg.qr(np.random.default_rng(497).standard_normal((5, 5)))[0]
+        S = Q @ np.diag([-3.0, -1.0, 0.5, 1.0, 2.0]) @ Q.T
+        S = 0.5 * (S + S.T)
+        assert dp._symmetric_norm(S) == pytest.approx(3.0, rel=1e-14, abs=0)
+        assert dp._symmetric_norm(S) == pytest.approx(np.linalg.norm(S, 2), rel=1e-14, abs=0)

@@ -142,6 +142,22 @@ class TestBundle:
                 assert bundle.H_T.tobytes() == want.tobytes()
                 assert not (bundle.O_T.flags.writeable or bundle.O_ob.flags.writeable)
 
+    @pytest.mark.parametrize("lead", [(), (5,)], ids=["single", "stacked"])
+    def test_power_blocks_are_written_in_place(self, lead):
+        # One (count, ..., m, n) array holding C A^k bit for bit as the
+        # products C @ A @ ... @ A taken one factor at a time.
+        rng = np.random.default_rng(47)
+        A = rng.standard_normal(lead + (6, 6))
+        C = rng.standard_normal(lead + (2, 6))
+        blocks = _output_power_blocks(A, C, 7)
+        assert blocks.shape == (7,) + C.shape
+        want = C
+        for k in range(7):
+            assert blocks[k].tobytes() == want.tobytes()
+            want = want @ A
+        with pytest.raises(ConditioningError, match=r"entries of C A\^3 exceed 1e\+150"):
+            _output_power_blocks(1e60 * np.eye(6), C, 5)
+
     def test_toeplitz_blocks_match_matrix_power(self):
         rng = np.random.default_rng(7)
         for _ in range(5):
@@ -531,6 +547,26 @@ class TestFullRankCertificate:
         M = U @ np.diag([1.0] * 20 + [1e-2]) @ V.T
         assert full_path_ranks(M[np.newaxis], 0.0)[0] == 21
         assert not obsv._full_rank_certified(M[np.newaxis], 0.0)[0]
+
+    def test_slack_keeps_the_bound_below_its_unslacked_value(self, monkeypatch):
+        # Without _CERT_SLACK the certificate holds up to a cutoff t*, found
+        # by bisection to the last bit.  Each term's slack of 2^-20 lowers
+        # the real cutoff by a few 1e-6 of t*, so 1e-7 below t* is uncertified.
+        rng = np.random.default_rng(59)
+        U = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        V = np.linalg.qr(rng.standard_normal((6, 6)))[0][:3]
+        M = (U @ np.diag([1.0, 0.7, 0.4]) @ V)[np.newaxis]
+        real = obsv._full_rank_certified
+        monkeypatch.setattr(obsv, "_CERT_SLACK", 0.0)
+        lo, hi = 0.0, 1.0
+        assert real(M, lo)[0] and not real(M, hi)[0]
+        while np.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if real(M, mid)[0] else (lo, mid)
+        t_star = lo * (1 - 1e-7)
+        assert 0.2 < lo < 0.4 and real(M, t_star)[0]  # sigma_min(M) = 0.4
+        monkeypatch.undo()
+        assert not real(M, t_star)[0]
 
 
 class TestSelectors:

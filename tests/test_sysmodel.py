@@ -365,6 +365,22 @@ class TestImmutability:
         with pytest.raises(ValueError):
             config.theta[0] = 2.0
 
+    def test_frozen_arrays_are_private_copies(self):
+        # Arrays are frozen in place, so each must be the model's own copy:
+        # writing to the caller's float arrays afterwards changes nothing.
+        A, C, sigma, theta = np.eye(2), np.ones((1, 2)), np.eye(4), np.ones(3)
+        system = LinearSystem(n=2, m=1, A=A, C=C, noise=NoiseModel.general(sigma))
+        tv = TimeVaryingSystem(n=2, m=1, A_seq=(A,), C_seq=(C, C))
+        config = Configuration(theta)
+        stored = [system.A, system.C, system.noise.Sigma_T, *tv.A_seq, *tv.C_seq, config.theta]
+        wants = [arr.copy() for arr in stored]
+        for given in (A, C, sigma, theta):
+            assert given.flags.writeable
+            given[...] = 7.0
+        for arr, want in zip(stored, wants):
+            assert not arr.flags.writeable
+            np.testing.assert_array_equal(arr, want)
+
     def test_configuration_rejects_nonfinite(self):
         with pytest.raises(ValidationError, match="finite"):
             Configuration(np.array([1.0, np.nan]))
