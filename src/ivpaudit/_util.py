@@ -1,6 +1,6 @@
-"""Shared helpers: the two scalar validators that every argument and file
-field goes through (``integer`` and ``real``), and deterministic seed
-derivation for sub-streams of a master seed."""
+"""Shared helpers: the three validators that every argument and file field
+goes through (``integer`` and ``real`` for scalars, ``array`` for float
+arrays), and deterministic seed derivation for sub-streams of a master seed."""
 
 from __future__ import annotations
 
@@ -34,6 +34,32 @@ def real(value, name: str) -> float:
     if not math.isfinite(value):
         raise ValidationError(f"{name}: must be finite, got {value!r}")
     return value
+
+
+def array(
+    value, name: str, *shape: int | None, flat: bool = False, finite: bool = True
+) -> np.ndarray:
+    """``value`` as a new float array with ``len(shape)`` axes, each of the
+    given length (None: any), and finite entries; numeric strings are read.
+
+    ``flat`` reads a value of any shape as a vector of its entries.  With
+    ``finite=False`` the caller checks finiteness of the entries it reads.
+    """
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name}: not a numeric array ({exc})") from None
+    if flat:
+        arr = arr.reshape(-1)
+    if arr.ndim != len(shape):
+        raise ValidationError(f"{name}: expected a {len(shape)}-D array, got shape {arr.shape}")
+    axes = ("length {}",) if arr.ndim == 1 else ("{} rows", "{} columns")
+    for axis, want, got in zip(axes, shape, arr.shape):
+        if want is not None and got != want:
+            raise ValidationError(f"{name}: expected {axis.format(want)}, got {got}")
+    if finite and not np.isfinite(arr).all():
+        raise ValidationError(f"{name}: entries must be finite")
+    return arr
 
 
 def derive_seed(seed: int, *key: int) -> int:

@@ -31,6 +31,7 @@ import sys as _sys
 import numpy as np
 
 from . import dp, generic, intrinsic, sim
+from ._util import array
 from .errors import ConditioningError, ValidationError
 from .obsv import _horizon, build_bundle, null_basis
 from .sysmodel import load_structure, load_system, require_lti
@@ -65,10 +66,10 @@ def _entries(text: str, sep: str, field: str) -> list:
     return parts
 
 
-def _parse_vector(text: str, field: str) -> np.ndarray:
+def _parse_vector(text: str, field: str) -> list:
     parts = _entries(text, ",", field)
     try:
-        return np.array([float(p) for p in parts])
+        return [float(p) for p in parts]
     except ValueError:
         raise ValidationError(f"{field}: could not parse {text!r}") from None
 
@@ -121,7 +122,7 @@ def cmd_calibrate(args) -> dict:
     c = dp._scale(budget.d, budget.N, norm_OT)
     floor = float(c * k)
     grid = (
-        _parse_vector(args.epsilon_grid, "epsilon-grid").tolist()
+        _parse_vector(args.epsilon_grid, "epsilon-grid")
         if args.epsilon_grid is not None
         else [budget.epsilon]
     )
@@ -176,7 +177,7 @@ def cmd_attack(args) -> dict:
     system = require_lti(load_system(args.system))
     # x0 and the probe's arguments are all checked before the probe, the
     # first to simulate, so a bad one exits 2 before any draw.
-    x0 = sim._initial_value(_parse_vector(args.x0, "x0"), system.n)
+    x0 = array(_parse_vector(args.x0, "x0"), "x0", system.n)
     report = None
     if args.empirical_dp:
         if not args.adjacent:

@@ -53,7 +53,7 @@ import numpy as np
 
 from ._util import integer, real
 from .errors import ConditioningError, ValidationError
-from .obsv import build_bundle, stacked_maps
+from .obsv import _noise_map, build_bundle
 from .sysmodel import LinearSystem
 
 __all__ = [
@@ -196,11 +196,11 @@ def _noise_covariance(sys: LinearSystem, O_T: np.ndarray, T: int) -> np.ndarray:
     """Covariance of H_T V_T + W_T at horizon T >= 0, given O_T for that horizon.
 
     The iid case uses the Gram recurrence of the module docstring; only the
-    general case, whose Sigma_T is larger than H_T anyway, builds H_T.
+    general case, whose Sigma_T is larger than H_T anyway, copies H_T out of O_T.
     """
     noise = sys.noise
     if noise.kind != "iid":
-        return stacked_noise_covariance(noise, stacked_maps(sys.A, sys.C, T)[1])
+        return stacked_noise_covariance(noise, _noise_map(O_T, T))
     m = sys.m
     rows = m * (T + 1)
     O = O_T[: m * T]
@@ -232,7 +232,7 @@ def _sigma_min(sys: LinearSystem, O_T: np.ndarray, T: int) -> float:
     if sys.noise.kind == "iid":
         return sys.noise.sigma_omega**2
     sigma = _noise_covariance(sys, O_T, T)
-    return float(max(np.linalg.eigvalsh(sigma)[0], np.linalg.eigvalsh(sys.noise.Sigma_T)[0]))
+    return float(max(np.linalg.eigvalsh(sigma)[0], sys.noise.Sigma_T_lambda_min))
 
 
 def _symmetric_norm(S: np.ndarray) -> float:

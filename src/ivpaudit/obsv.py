@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import integer, real
+from ._util import array, integer, real
 from .errors import ConditioningError, ValidationError
 from .sysmodel import DisclosureSet, LinearSystem, TimeVaryingSystem, require_lti
 
@@ -181,12 +181,7 @@ def numerical_rank(M, tol: float | None = None) -> int:
     used.  Comparisons between related matrices should pass one shared ``tol``
     computed from the largest matrix involved.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise ValidationError(f"matrix: expected 2-D, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ValidationError("matrix: entries must be finite")
-    return null_basis(M, tol).rank
+    return null_basis(array(M, "matrix", None, None), tol).rank
 
 
 #: c in the row cutoff c * tol / sigma_r of ``null_basis``.  A null basis
@@ -426,14 +421,13 @@ class Selector:
 
 
 def select_columns(M, selector: Selector, which: str = "unpublic") -> np.ndarray:
-    """Columns of ``M`` at the published ("public") or hidden ("unpublic") nodes."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[1] != selector.n:
-        raise ValidationError(
-            f"matrix: expected {selector.n} columns to match the selector, got shape {M.shape}"
-        )
+    """Columns of ``M`` at the published ("public") or hidden ("unpublic") nodes;
+    only the columns returned must be finite."""
+    M = array(M, "matrix", None, selector.n, finite=False)
     if which == "public":
-        return M[:, list(selector.P.nodes)]
-    if which == "unpublic":
-        return M[:, list(selector.P.complement(selector.n))]
-    raise ValidationError(f"which: expected 'public' or 'unpublic', got {which!r}")
+        nodes = selector.P.nodes
+    elif which == "unpublic":
+        nodes = selector.P.complement(selector.n)
+    else:
+        raise ValidationError(f"which: expected 'public' or 'unpublic', got {which!r}")
+    return array(M[:, list(nodes)], "matrix", None, None)

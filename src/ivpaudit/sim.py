@@ -52,7 +52,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import derive_seed, integer, real
+from ._util import array, derive_seed, integer, real
 from .errors import ConditioningError, ValidationError
 from .dp import _joint_covariance, _noise_covariance, _radius, q_function
 from .obsv import _stacked_powers, null_basis, rank_tolerance
@@ -301,16 +301,6 @@ def _simulate_chunk(
     return None, _Moments(stop - start, mean, dev.sum(axis=0))
 
 
-def _initial_value(x0, n: int, field: str = "x0") -> np.ndarray:
-    """x0 as a float vector of length n with finite entries; errors name ``field``."""
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != n:
-        raise ValidationError(f"{field}: expected length {n}, got {x0.shape[0]}")
-    if not np.all(np.isfinite(x0)):
-        raise ValidationError(f"{field}: entries must be finite")
-    return x0
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -360,7 +350,7 @@ def _simulate(
     not grow with N.
     """
     require_lti(sys)
-    x0 = _initial_value(x0, sys.n)
+    x0 = array(x0, "x0", sys.n, flat=True)
     N = integer(N, "N", 1)
     T = sys.n - 1 if T is None else integer(T, "T", 0)
     seed = integer(seed, "seed", 0)
@@ -390,9 +380,8 @@ def _simulate(
     if not keep:
         return T, moments, None
     Y.flags.writeable = False
-    frozen_x0 = x0.copy()
-    frozen_x0.flags.writeable = False
-    return T, moments, TrajectoryBatch(x0=frozen_x0, N=N, T=T, Y=Y, seed=seed, system=sys)
+    x0.flags.writeable = False  # the rule's own copy
+    return T, moments, TrajectoryBatch(x0=x0, N=N, T=T, Y=Y, seed=seed, system=sys)
 
 
 def _in_order(pool, run, chunks, ahead: int):
@@ -567,10 +556,9 @@ def empirical_dp_report(
     that pair order.
     """
     require_lti(sys)
-    x0s = [np.asarray(x, dtype=float).reshape(-1) for x in x0_list]
+    x0s = [array(x, f"x0_list[{k}]", sys.n, flat=True) for k, x in enumerate(x0_list)]
     if len(x0s) < 2:
         raise ValidationError("x0_list: need at least two initial values to compare")
-    x0s = [_initial_value(x, sys.n, f"x0_list[{k}]") for k, x in enumerate(x0s)]
     N_runs = integer(N_runs, "N_runs", 1)
     delta = real(delta, "delta")
     if not 0.0 <= delta < 0.5:

@@ -34,7 +34,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 import orjson
 
-from ._util import integer, real
+from ._util import array, integer, real
 from .errors import ValidationError
 
 __all__ = [
@@ -56,29 +56,15 @@ __all__ = [
 PSD_TOLERANCE = 1e-10
 
 
-def _as_float_matrix(value, path: str, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    try:
-        arr = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: not a numeric matrix ({exc})") from None
-    if arr.ndim != 2:
-        raise ValidationError(f"{path}: expected a 2-D array, got shape {arr.shape}")
-    if rows is not None and arr.shape[0] != rows:
-        raise ValidationError(f"{path}: expected {rows} rows, got {arr.shape[0]}")
-    if cols is not None and arr.shape[1] != cols:
-        raise ValidationError(f"{path}: expected {cols} columns, got {arr.shape[1]}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{path}: entries must be finite")
-    return arr
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     """``arr``, a float array no caller shares, made read-only in place."""
     arr.flags.writeable = False
     return arr
 
 
-def _check_psd(sigma: np.ndarray, path: str) -> np.ndarray:
+def _check_psd(value, path: str) -> tuple[np.ndarray, float]:
+    """The symmetric part of the covariance ``value``, checked, and its smallest eigenvalue."""
+    sigma = array(value, path, None, None)
     if sigma.shape[0] != sigma.shape[1]:
         raise ValidationError(f"{path}: covariance must be square, got shape {sigma.shape}")
     scale = max(float(np.abs(sigma).max(initial=0.0)), 1.0)
@@ -91,7 +77,7 @@ def _check_psd(sigma: np.ndarray, path: str) -> np.ndarray:
         raise ValidationError(
             f"{path}: covariance is not positive semidefinite (min eigenvalue {eigs[0]:.3e})"
         )
-    return sym
+    return sym, float(eigs[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,12 +90,15 @@ class NoiseModel:
     ``kind == "general"``: one joint covariance ``Sigma_T`` for the stacked
     noise vector (all process noises, then all measurement noises) over a
     horizon; its side length must equal n*T + m*(T+1) wherever it is used.
+    ``Sigma_T_lambda_min`` is its smallest eigenvalue, computed when it is
+    checked (None for iid noise).
     """
 
     kind: str
     sigma_nu: float = 0.0
     sigma_omega: float = 0.0
     Sigma_T: np.ndarray | None = None
+    Sigma_T_lambda_min: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("iid", "general"):
@@ -125,8 +114,9 @@ class NoiseModel:
         else:
             if self.Sigma_T is None:
                 raise ValidationError("noise.SigmaT: required when kind == 'general'")
-            sigma = _as_float_matrix(self.Sigma_T, "noise.SigmaT")
-            object.__setattr__(self, "Sigma_T", _freeze(_check_psd(sigma, "noise.SigmaT")))
+            sigma, lambda_min = _check_psd(self.Sigma_T, "noise.SigmaT")
+            object.__setattr__(self, "Sigma_T", _freeze(sigma))
+            object.__setattr__(self, "Sigma_T_lambda_min", lambda_min)
 
     @classmethod
     def iid(cls, sigma_nu: float, sigma_omega: float) -> "NoiseModel":
@@ -162,8 +152,8 @@ class LinearSystem:
     def __post_init__(self, require_output: bool) -> None:
         object.__setattr__(self, "n", integer(self.n, "n", 1))
         object.__setattr__(self, "m", integer(self.m, "m", 1))
-        A = _as_float_matrix(self.A, "A", rows=self.n, cols=self.n)
-        C = _as_float_matrix(self.C, "C", rows=self.m, cols=self.n)
+        A = array(self.A, "A", self.n, self.n)
+        C = array(self.C, "C", self.m, self.n)
         if require_output and not np.any(C != 0.0):
             raise ValidationError("C: rank(C) = 0; at least one output coefficient must be nonzero")
         object.__setattr__(self, "A", _freeze(A))
@@ -187,9 +177,9 @@ class TimeVaryingSystem:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", integer(self.n, "n", 1))
         object.__setattr__(self, "m", integer(self.m, "m", 1))
-        A_seq = tuple(_freeze(_as_float_matrix(a, f"A_seq[{k}]", rows=self.n, cols=self.n))
+        A_seq = tuple(_freeze(array(a, f"A_seq[{k}]", self.n, self.n))
                       for k, a in enumerate(self.A_seq))
-        C_seq = tuple(_freeze(_as_float_matrix(c, f"C_seq[{k}]", rows=self.m, cols=self.n))
+        C_seq = tuple(_freeze(array(c, f"C_seq[{k}]", self.m, self.n))
                       for k, c in enumerate(self.C_seq))
         if len(C_seq) != len(A_seq) + 1:
             raise ValidationError(
@@ -294,15 +284,7 @@ class Configuration:
     theta: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            theta = np.array(self.theta, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"theta: not a numeric vector ({exc})") from None
-        if theta.ndim != 1:
-            raise ValidationError(f"theta: expected a 1-D vector, got shape {theta.shape}")
-        if not np.all(np.isfinite(theta)):
-            raise ValidationError("theta: entries must be finite")
-        object.__setattr__(self, "theta", _freeze(theta))
+        object.__setattr__(self, "theta", _freeze(array(self.theta, "theta", None)))
 
     def __len__(self) -> int:
         return self.theta.shape[0]

@@ -403,6 +403,21 @@ class TestGeneric:
         want.update({"samples": 5, "seed": 7, "agreement": 1.0})
         assert payload == want
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--node", "1,2"], "node: expected exactly one 1-based index"),
+            (["--node", "1", "--public", "1,x"], "node list: 'x' is not an integer"),
+        ],
+        ids=["two-nodes", "public-not-integer"],
+    )
+    def test_bad_node_lists_exit_2(self, capsys, file_struct_line3, flags, message):
+        code, out, err = run_cli(
+            capsys, ["generic-check", "--structure", file_struct_line3, "--seed", "7", *flags]
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_node_out_of_range_exits_2(self, capsys, file_struct_line3):
         code, _, err = run_cli(
             capsys,

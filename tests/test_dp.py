@@ -32,6 +32,7 @@ from ivpaudit import dp, obsv
 from ivpaudit.dp import _noise_covariance, stacked_noise_covariance
 from ivpaudit.obsv import stacked_maps
 from ivpaudit.sim import _analytic_cell_probs
+from conftest import general_noise_system
 
 # kappa(1, 0.05), frozen from the bisection oracle below.
 KAPPA_1_005 = 1.9070400457036372
@@ -467,6 +468,18 @@ class TestGramCovariance:
             want = covariance_via_H(system, T)
             np.testing.assert_allclose(_noise_covariance(system, O_T, T), want, rtol=1e-12)
 
+    def test_general_floor_is_the_lambda_min_of_the_load(self, monkeypatch):
+        # lambda_min(Sigma_T) is kept from the load's PSD check, bit for bit,
+        # and check_dp and delta_min solve no eigenproblem of Sigma_T's side.
+        system = general_noise_system(2)
+        eigvalsh = np.linalg.eigvalsh
+        assert system.noise.Sigma_T_lambda_min == eigvalsh(system.noise.Sigma_T)[0]
+        sides = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: sides.append(len(M)) or eigvalsh(M))
+        check_dp(system, DpBudget(epsilon=1, delta=0.05, d=1, N=2))
+        delta_min(system, 1.0, d=1.0, N=2)
+        assert sides and len(system.noise.Sigma_T) not in sides
+
     def test_general_noise_unchanged(self):
         rng = np.random.default_rng(73)
         for n, m, T in ((2, 1, 1), (3, 2, 2), (4, 1, 6)):
@@ -486,14 +499,15 @@ class TestNoNoiseMapBuilt:
     """Verdicts and budgets never build H_T; the bundle still serves it on request."""
 
     @pytest.fixture
-    def no_stacked_maps(self, monkeypatch):
+    def no_noise_map(self, monkeypatch):
+        # Every H_T, stacked_maps' and the bundle's included, is copied by _noise_map.
         def refuse(*args, **kwargs):
-            raise AssertionError("stacked_maps called: H_T was built")
+            raise AssertionError("_noise_map called: H_T was built")
 
-        monkeypatch.setattr(obsv, "stacked_maps", refuse)
-        monkeypatch.setattr(dp, "stacked_maps", refuse)
+        monkeypatch.setattr(obsv, "_noise_map", refuse)
+        monkeypatch.setattr(dp, "_noise_map", refuse)
 
-    def test_iid_paths_build_no_noise_map(self, no_stacked_maps):
+    def test_iid_paths_build_no_noise_map(self, no_noise_map):
         rng = np.random.default_rng(74)
         for n, m in ((2, 1), (6, 1), (8, 2)):
             system = random_iid(rng, n, m)
@@ -510,6 +524,24 @@ class TestNoNoiseMapBuilt:
             batch = simulate(system, np.ones(n), 5, n - 2, seed=3)
             mle_attack(system, batch)
             empirical_dp_report(system, [np.zeros(n), 0.1 * np.ones(n)], 20, seed=4, T=1)
+
+    def test_general_paths_build_O_T_once(self, monkeypatch):
+        # General noise copies H_T out of the caller's O_T instead of building a second one.
+        built = []
+        blocks = obsv._output_power_blocks
+        monkeypatch.setattr(
+            obsv, "_output_power_blocks", lambda *args: built.append(1) or blocks(*args)
+        )
+        system = general_noise_system(2)
+        for call in (
+            lambda: check_dp(system, DpBudget(epsilon=1, delta=0.05, d=1, N=2)),
+            lambda: delta_min(system, 1.0, d=1.0, N=2),
+            lambda: effective_covariance(system),
+            lambda: empirical_dp_report(system, [np.zeros(3), 0.1 * np.ones(3)], 20, seed=4),
+        ):
+            built.clear()
+            call()
+            assert built == [1]
 
     def test_bundle_builds_noise_map_once_on_read(self):
         system = random_iid(np.random.default_rng(75), 4, 2)

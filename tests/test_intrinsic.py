@@ -481,6 +481,22 @@ class TestRankTolerance:
         assert verdict.private
         np.testing.assert_allclose(verdict.eta, [0.0, 1.0])
 
+    def test_eta_residual_bound_lies_between_1e_10_and_1e_6(self):
+        """``ETA_RESIDUAL_RTOL`` (1e-8) pinned from both sides.  With A = 0 the
+        certificate e_2 leaves the residual sigma_2 against ||O_ob|| = 1: a
+        cutoff that drops sigma_2 = 1e-6 is refused, one that drops 1e-10 is
+        certified.  ROADMAP item 4 makes the bound follow the cutoff, which
+        moves this pin."""
+
+        def system(c2):
+            return LinearSystem(n=2, m=2, A=np.zeros((2, 2)), C=np.diag([1.0, c2]))
+
+        with pytest.raises(ConditioningError, match="certificate residual 1.000e-06 exceeds"):
+            node_private(system(1e-6), 1, (), rank_tol=1e-5)
+        verdict = node_private(system(1e-10), 1, (), rank_tol=1e-9)
+        assert verdict.private
+        np.testing.assert_allclose(verdict.eta, [0.0, 1.0])
+
     def test_small_gap_keeps_unit_rows_of_the_null_basis(self):
         # sigma_2 = 1e-14 is just above the default cutoff (2e-15), so the
         # error bound on the null basis exceeds 1.  The exact null vector e_3

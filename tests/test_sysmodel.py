@@ -69,6 +69,24 @@ class TestLoadSystem:
         with pytest.raises(ValidationError, match="semidefinite"):
             load_system(path)
 
+    @pytest.mark.parametrize(
+        "payload, load, message",
+        [
+            ([1, 2], load_system, "{path}: top level must be an object"),
+            ({"n": 2, "m": 1, "A": [[0, 0], [0, 0]], "C": [[1, 0]]}, load_structure,
+             "structure: missing (expected 'edges'/'sensor_edges')"),
+            ({"n": 2, "m": 1, "A_seq": 3, "C_seq": [[[1, 0]]]}, load_system,
+             "A_seq: missing or not a list of matrices"),
+        ],
+        ids=["top-level-array", "no-structure-block", "a-seq-not-a-list"],
+    )
+    def test_file_shape_rejected(self, tmp_path, payload, load, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError) as err:
+            load(path)
+        assert str(err.value) == message.format(path=path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="not found"):
             load_system(tmp_path / "nope.json")
@@ -124,6 +142,48 @@ class TestLoadSystem:
             assert back.noise.sigma_omega == sys_rand.noise.sigma_omega
 
 
+class TestNoiseModel:
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: NoiseModel(kind="gaussian"),
+             "noise.kind: expected 'iid' or 'general', got 'gaussian'"),
+            (lambda: NoiseModel(kind="iid", Sigma_T=[[1.0]]),
+             "noise.SigmaT: only allowed when kind == 'general'"),
+            (lambda: NoiseModel(kind="general"),
+             "noise.SigmaT: required when kind == 'general'"),
+            (lambda: NoiseModel.general([[1.0, 0.0]]),
+             "noise.SigmaT: covariance must be square, got shape (1, 2)"),
+        ],
+        ids=["unknown-kind", "sigma-t-with-iid", "general-without-sigma-t", "not-square"],
+    )
+    def test_rejections(self, make, message):
+        with pytest.raises(ValidationError) as err:
+            make()
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("lam, accepted", [(-1e-12, True), (-1e-6, False)])
+    def test_psd_tolerance_from_both_sides(self, lam, accepted):
+        # PSD_TOLERANCE = 1e-10, relative to lambda_max = 1: 1e-12 of rounding
+        # is accepted, a 1e-6 negative eigenvalue is not.
+        sigma = np.diag([1.0, lam])
+        if accepted:
+            assert NoiseModel.general(sigma).Sigma_T_lambda_min == lam
+        else:
+            with pytest.raises(ValidationError, match="not positive semidefinite"):
+                NoiseModel.general(sigma)
+
+    @pytest.mark.parametrize("skew, accepted", [(1e-10, True), (1e-6, False)])
+    def test_symmetry_tolerance_from_both_sides(self, skew, accepted):
+        # The symmetry check allows 1e-8 of max(|Sigma_T|, 1); the symmetric part is kept.
+        sigma = [[1.0, skew], [0.0, 1.0]]
+        if accepted:
+            assert NoiseModel.general(sigma).Sigma_T.tolist() == [[1.0, skew / 2], [skew / 2, 1.0]]
+        else:
+            with pytest.raises(ValidationError, match="^noise.SigmaT: covariance must be symm"):
+                NoiseModel.general(sigma)
+
+
 class TestTimeVarying:
     def test_loads_sequences(self, tmp_path):
         path = write_system_file(
@@ -138,6 +198,26 @@ class TestTimeVarying:
         assert isinstance(tv, TimeVaryingSystem)
         assert tv.T == 2
         assert tv.C_seq[2].tolist() == [[1.0, 1.0]]
+
+    def test_all_zero_outputs_rejected(self):
+        with pytest.raises(ValidationError, match=r"^C_seq: all output maps are zero$"):
+            TimeVaryingSystem(n=2, m=1, A_seq=([[0, 1], [1, 0]],), C_seq=([[0, 0]], [[0, 0]]))
+
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(12)
+        first = TimeVaryingSystem(
+            n=3, m=2,
+            A_seq=tuple(rng.standard_normal((2, 3, 3))),
+            C_seq=tuple(rng.standard_normal((3, 2, 3))),
+            noise=NoiseModel.iid(0.5, 0.25),
+        )
+        out = tmp_path / "tv.json"
+        save_system(first, out)
+        second = load_system(out)
+        assert isinstance(second, TimeVaryingSystem) and second.T == 2
+        for a, b in zip(first.A_seq + first.C_seq, second.A_seq + second.C_seq):
+            assert np.array_equal(a, b)
+        assert system_to_dict(first) == system_to_dict(second)
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError, match="C_seq"):

@@ -1,5 +1,5 @@
 """Arguments at the library boundary: one integer rule and one number rule for
-scalars, and one time-invariance rule for systems."""
+scalars, one rule for float arrays, and one time-invariance rule for systems."""
 
 import re
 
@@ -30,6 +30,7 @@ from ivpaudit import (
     simulate,
     whole_vector_private,
 )
+from ivpaudit.obsv import Selector, select_columns
 from conftest import general_noise_system
 
 ADJACENT = [[2.0, 1.0], [2.1, 1.0]]
@@ -126,3 +127,82 @@ def test_numpy_scalars_accepted_and_converted():
     assert type(system.noise.sigma_nu) is float and system.noise.sigma_omega == 1.0
     batch = simulate(system, [1.0], N=np.int64(3), T=np.int16(2), seed=np.uint8(4))
     assert (type(batch.N), type(batch.T), type(batch.seed)) == (int, int, int)
+
+
+def _with_first(value, entry):
+    """``value``, nested lists, with its first number replaced by ``entry``."""
+    return [_with_first(value[0], entry), *value[1:]] if isinstance(value, list) else entry
+
+
+def _bad_arrays(input_id, field, call, good, length=None, axes=True):
+    """One case per way ``good`` can be malformed, each passed to ``call(value, s, g)``;
+    ``length`` is ``good`` with a wrong axis length, None where no length is fixed,
+    and ``axes`` is False where any shape is read (as for x0)."""
+    bad = {
+        "text": _with_first(good, "x"),
+        "ragged": [good[0], good],
+        "dict": {"a": 1.0},
+        "axes": [good] if axes else None,
+        "length": length,
+        "nan": _with_first(good, np.nan),
+        "inf": _with_first(good, -np.inf),
+        "huge-int": _with_first(good, 10**400),
+    }
+    return [
+        pytest.param(field, call, value, id=f"{input_id}-{kind}")
+        for kind, value in bad.items()
+        if value is not None
+    ]
+
+
+A2 = [[0.0, 1.0], [0.0, -1.0]]
+C2 = [[1.0, 0.0]]
+THETA = [0.5, 1.0, 1.0, 1.0, 1.0]
+# The hidden node 0's column is the first: its entries are the ones returned.
+HIDE_0 = Selector.for_nodes(2, (1,))
+
+BAD_ARRAYS = [
+    *_bad_arrays("A", "A", lambda v, s, g: LinearSystem(n=2, m=1, A=v, C=C2), A2, A2 + A2[:1]),
+    *_bad_arrays("C", "C", lambda v, s, g: LinearSystem(n=2, m=1, A=A2, C=v), C2, C2 + C2),
+    *_bad_arrays(
+        "A-seq", "A_seq[0]",
+        lambda v, s, g: TimeVaryingSystem(n=2, m=1, A_seq=(v,), C_seq=(C2, C2)), A2, A2 + A2[:1],
+    ),
+    *_bad_arrays(
+        "C-seq", "C_seq[1]",
+        lambda v, s, g: TimeVaryingSystem(n=2, m=1, A_seq=(A2,), C_seq=(C2, v)),
+        C2, [[1.0, 0.0, 0.0]],
+    ),
+    *_bad_arrays(
+        "sigma-t", "noise.SigmaT", lambda v, s, g: NoiseModel.general(v),
+        [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0]],
+    ),
+    *_bad_arrays("configuration", "theta", lambda v, s, g: Configuration(v), THETA),
+    *_bad_arrays("instantiate", "theta", lambda v, s, g: instantiate(g, v), THETA, THETA + [1.0]),
+    *_bad_arrays("x0", "x0", lambda v, s, g: simulate(s, v, N=1), [2.0, 1.0], [2.0], axes=False),
+    *_bad_arrays(
+        "x0-list", "x0_list[1]", lambda v, s, g: empirical_dp_report(s, [[2.0, 1.0], v], N_runs=10),
+        [2.0, 1.0], [2.0, 1.0, 0.0], axes=False,
+    ),
+    *_bad_arrays("numerical-rank", "matrix", lambda v, s, g: numerical_rank(v), A2),
+    *_bad_arrays(
+        "select-columns", "matrix", lambda v, s, g: select_columns(v, HIDE_0), A2,
+        [[0.0, 1.0, 0.0]],
+    ),
+]
+
+
+@pytest.mark.parametrize("field, call, value", BAD_ARRAYS)
+def test_bad_array_names_its_field(field, call, value, sys_line2_first, struct_line3):
+    with pytest.raises(ValidationError, match=rf"^{re.escape(field)}: "):
+        call(value, sys_line2_first, struct_line3)
+
+
+def test_numeric_strings_and_initial_values_of_any_shape_accepted():
+    system = LinearSystem(n=2, m=1, A=[["0", "1"], ["0", "-1"]], C=[["1", "0"]])
+    assert system.A.tolist() == A2 and system.C.tolist() == C2
+    assert simulate(system, [["2"], ["1.5"]], N=1).x0.tolist() == [2.0, 1.5]
+    report = empirical_dp_report(system, [np.array([[2.0, 1.0]]), ["2", "1.5"]], N_runs=10)
+    assert [x.tolist() for x in report.x0_list] == [[2.0, 1.0], [2.0, 1.5]]
+    assert Configuration(["0.5", "1e-3"]).theta.tolist() == [0.5, 1e-3]
+    assert numerical_rank([["1", "0"], ["0", "0"]]) == 1
