@@ -1,6 +1,6 @@
-"""Shared helpers: the three validators that every argument and file field
-goes through (``integer`` and ``real`` for scalars, ``array`` for float
-arrays), and deterministic seed derivation for sub-streams of a master seed."""
+"""Shared helpers: the validators that every argument and file field goes
+through (``integer``, ``real``, ``array`` and ``sequence``), the one limit
+on computed magnitudes (``beyond_limit``), and seeds for sub-streams."""
 
 from __future__ import annotations
 
@@ -60,6 +60,23 @@ def array(
     if finite and not np.isfinite(arr).all():
         raise ValidationError(f"{name}: entries must be finite")
     return arr
+
+
+def sequence(value, name: str) -> list:
+    """The entries of ``value``, such as a list of arrays, as a list."""
+    try:
+        return list(value)
+    except TypeError:
+        raise ValidationError(f"{name}: expected a sequence, got {value!r}") from None
+
+
+#: Largest entry magnitude of powers C A^k, transition products and states.
+MAGNITUDE_LIMIT = 1e150
+
+
+def beyond_limit(x: np.ndarray, axis=None):
+    """True where an entry of ``x`` over ``axis`` is NaN or past the limit (max, min: no copy)."""
+    return ~((x.max(axis) <= MAGNITUDE_LIMIT) & (x.min(axis) >= -MAGNITUDE_LIMIT))
 
 
 def derive_seed(seed: int, *key: int) -> int:

@@ -175,9 +175,8 @@ def _kernel_blocks(
     listed.  Its A and C are filled in one scatter, its O_ob stack is built
     by batched products and read through one stacked SVD
     (``obsv.null_bases``), so each null basis equals ``null_basis`` of that
-    sample's own O_ob.  An overflowing power raises
-    ``ConditioningError`` naming the earliest step at which any sample of
-    the block overflows.
+    sample's own O_ob.  A power past the magnitude limit raises
+    ``ConditioningError`` naming the earliest k over the block's samples.
     """
     draws = ((step, k) for step in rounds for k in range(samples))
     rngs = {step: np.random.default_rng(derive_seed(seed, step)) for step in rounds}
@@ -211,9 +210,8 @@ def estimate_generic_rank(
 ) -> GenericRankEstimate:
     """Maximum rank of O_ob E_Pbar over ``samples`` random configurations.
 
-    Raises ``ConditioningError`` when a power C A^k of some sample overflows;
-    the samples are stacked in blocks, and the message names the earliest k
-    at which any sample of a block overflows.
+    A power C A^k past the magnitude limit raises ``ConditioningError``
+    naming the earliest k over a block of samples (``_kernel_blocks``).
     """
     samples = integer(samples, "samples", 1)
     seed = integer(seed, "seed", 0)
@@ -243,8 +241,7 @@ def generic_node_privacy(
     Each block is folded into the estimate and the event as it is ranked: its
     step-1 samples come first, and every step-1 sample precedes every step-2
     one, so the estimate is final before any step-2 sample is read.
-    Raises ``ConditioningError`` when a power C A^k of some sample overflows;
-    the message names the earliest k at which any sample of a block does.
+    Powers past the magnitude limit raise as in ``estimate_generic_rank``.
     """
     i, P = _check_node(structure.n, i, P)
     samples = integer(samples, "samples", 1)

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import array, integer, real
+from ._util import MAGNITUDE_LIMIT, array, beyond_limit, integer, real
 from .errors import ConditioningError, ValidationError
 from .sysmodel import DisclosureSet, LinearSystem, TimeVaryingSystem, require_lti
 
@@ -51,26 +51,24 @@ __all__ = [
     "select_columns",
 ]
 
-#: Magnitude guard for matrix powers; beyond this the horizon is declared
-#: ill-conditioned rather than silently overflowing.
-POWER_OVERFLOW_LIMIT = 1e150
-
 _EPS = np.finfo(float).eps
 
 
 def _output_power_blocks(A: np.ndarray, C: np.ndarray, count: int) -> np.ndarray:
-    """C, CA, ..., CA^(count-1) written into one (count, ..., m, n) array, with
-    an overflow guard on each step; a 2-D C gives O_T by a free reshape."""
+    """C, CA, ..., CA^(count-1) in one (count, ..., m, n) array (a 2-D C gives
+    O_T by a free reshape), checked once after the chain: the error names the
+    earliest k >= 1 past ``MAGNITUDE_LIMIT`` over all samples; C is unchecked."""
     out = np.empty((count, *C.shape))
     out[0] = C
-    for k in range(1, count):
-        nxt = np.matmul(out[k - 1], A, out=out[k])
-        peak = float(np.abs(nxt).max(initial=0.0))
-        if not np.isfinite(peak) or peak > POWER_OVERFLOW_LIMIT:
-            raise ConditioningError(
-                f"entries of C A^{k} exceed {POWER_OVERFLOW_LIMIT:g}; "
-                "the horizon is too long for this spectral radius"
-            )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, count):
+            np.matmul(out[k - 1], A, out=out[k])
+        bad = np.flatnonzero(beyond_limit(out[1:], tuple(range(1, out.ndim))))
+    if bad.size:
+        raise ConditioningError(
+            f"entries of C A^{bad[0] + 1} exceed {MAGNITUDE_LIMIT:g}; "
+            "the horizon is too long for this spectral radius"
+        )
     return out
 
 
@@ -143,7 +141,8 @@ def build_tv_observability(sys: TimeVaryingSystem, T: int | None = None) -> np.n
     """Stacked time-varying observability map.
 
     Block row t is C_t A_{t-1} ... A_0 (block row 0 is C_0).  For constant
-    sequences this reproduces O_T of the time-invariant system exactly.
+    sequences this reproduces O_T of the time-invariant system exactly.  The
+    product is checked at every step; the error names the first t past the limit.
     """
     T = sys.T if T is None else integer(T, "T", 0)
     if T > sys.T:
@@ -152,10 +151,9 @@ def build_tv_observability(sys: TimeVaryingSystem, T: int | None = None) -> np.n
     prod = np.eye(sys.n)
     for t in range(1, T + 1):
         prod = sys.A_seq[t - 1] @ prod
-        peak = float(np.abs(prod).max(initial=0.0))
-        if not np.isfinite(peak) or peak > POWER_OVERFLOW_LIMIT:
+        if beyond_limit(prod):
             raise ConditioningError(
-                f"entries of the transition product at step {t} exceed {POWER_OVERFLOW_LIMIT:g}"
+                f"entries of the transition product at step {t} exceed {MAGNITUDE_LIMIT:g}"
             )
         rows.append(sys.C_seq[t] @ prod)
     out = np.vstack(rows)

@@ -52,7 +52,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import array, derive_seed, integer, real
+from ._util import MAGNITUDE_LIMIT, array, beyond_limit, derive_seed, integer, real, sequence
 from .errors import ConditioningError, ValidationError
 from .dp import _joint_covariance, _noise_covariance, _radius, q_function
 from .obsv import _stacked_powers, null_basis, rank_tolerance
@@ -68,9 +68,6 @@ __all__ = [
     "batch_to_csv",
     "report_to_csv",
 ]
-
-#: Magnitude guard for simulated states.
-STATE_OVERFLOW_LIMIT = 1e150
 
 #: Unit normals per Philox counter: block b holds normals STREAM_BLOCK*b, ...,
 #: STREAM_BLOCK*b + STREAM_BLOCK - 1 of a seed's flat sequence, drawn by one
@@ -277,7 +274,7 @@ def _simulate_chunk(
     Draws the chunk's blocks with ``_draw_noise`` and runs the recurrence,
     writing the outputs into rows start:stop of ``Y`` when one is given and
     over the chunk's measurement noise ``W`` otherwise.  Returns the earliest
-    step at which one of its states exceeded ``STATE_OVERFLOW_LIMIT`` (the
+    step at which one of its states exceeded ``MAGNITUDE_LIMIT`` (the
     recurrence stops there, with no moments), or None with the moments of
     its output rows.
     """
@@ -292,8 +289,7 @@ def _simulate_chunk(
             break
         x = x @ sys.A.T
         x += V[:, t * n:(t + 1) * n]  # in place: two state arrays at a time, not three
-        peak = float(np.abs(x).max(initial=0.0))
-        if not np.isfinite(peak) or peak > STATE_OVERFLOW_LIMIT:
+        if beyond_limit(x):
             return t + 1, None
     mean = out.mean(axis=0)
     dev = out - mean
@@ -331,9 +327,9 @@ def simulate(
     kernel (OpenBLAS on AVX-512) rounds a chunk's products differently in
     the last bit when n >= 32 and m > 1.
 
-    The state guard raises ``ConditioningError`` at the earliest step, over
-    all trajectories, at which a state exceeds ``STATE_OVERFLOW_LIMIT``;
-    step 0 is x0 itself.
+    The state guard checks x0 as step 0, then each chunk's states, which it
+    overwrites, at every step, and raises ``ConditioningError`` at the earliest
+    step past ``_util.MAGNITUDE_LIMIT`` over all trajectories.
     """
     return _simulate(sys, x0, N, T, seed, keep=True)[2]
 
@@ -357,8 +353,8 @@ def _simulate(
 
     n, m = sys.n, sys.m
     L = _general_factor(sys, T)
-    if float(np.abs(x0).max()) > STATE_OVERFLOW_LIMIT:
-        raise ConditioningError(f"state magnitude exceeded {STATE_OVERFLOW_LIMIT:g} at step 0")
+    if beyond_limit(x0):
+        raise ConditioningError(f"state magnitude exceeded {MAGNITUDE_LIMIT:g} at step 0")
     row_bytes = 8 * (n * T + m * (T + 1) + 2 * n)
     rows = max(1, CHUNK_BYTES // row_bytes // CHUNK_ROW_MULTIPLE) * CHUNK_ROW_MULTIPLE
     cuts = range(rows, N - rows + 1, rows)
@@ -374,9 +370,7 @@ def _simulate(
         with ThreadPoolExecutor(workers) as pool:
             step, moments = _merge_chunks(_in_order(pool, run, chunks, 2 * workers))
     if step is not None:
-        raise ConditioningError(
-            f"state magnitude exceeded {STATE_OVERFLOW_LIMIT:g} at step {step}"
-        )
+        raise ConditioningError(f"state magnitude exceeded {MAGNITUDE_LIMIT:g} at step {step}")
     if not keep:
         return T, moments, None
     Y.flags.writeable = False
@@ -556,7 +550,8 @@ def empirical_dp_report(
     that pair order.
     """
     require_lti(sys)
-    x0s = [array(x, f"x0_list[{k}]", sys.n, flat=True) for k, x in enumerate(x0_list)]
+    x0s = [array(x, f"x0_list[{k}]", sys.n, flat=True)
+           for k, x in enumerate(sequence(x0_list, "x0_list"))]
     if len(x0s) < 2:
         raise ValidationError("x0_list: need at least two initial values to compare")
     N_runs = integer(N_runs, "N_runs", 1)

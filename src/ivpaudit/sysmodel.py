@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import InitVar, dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 import orjson
 
-from ._util import array, integer, real
+from ._util import array, integer, real, sequence
 from .errors import ValidationError
 
 __all__ = [
@@ -178,9 +177,9 @@ class TimeVaryingSystem:
         object.__setattr__(self, "n", integer(self.n, "n", 1))
         object.__setattr__(self, "m", integer(self.m, "m", 1))
         A_seq = tuple(_freeze(array(a, f"A_seq[{k}]", self.n, self.n))
-                      for k, a in enumerate(self.A_seq))
+                      for k, a in enumerate(sequence(self.A_seq, "A_seq")))
         C_seq = tuple(_freeze(array(c, f"C_seq[{k}]", self.m, self.n))
-                      for k, c in enumerate(self.C_seq))
+                      for k, c in enumerate(sequence(self.C_seq, "C_seq")))
         if len(C_seq) != len(A_seq) + 1:
             raise ValidationError(
                 f"C_seq: expected length len(A_seq)+1 = {len(A_seq) + 1}, got {len(C_seq)}"
@@ -297,12 +296,7 @@ class DisclosureSet:
     nodes: tuple = ()
 
     def __post_init__(self) -> None:
-        try:
-            given = tuple(self.nodes)
-        except TypeError:
-            raise ValidationError(
-                f"disclosure: expected a collection of node indices, got {self.nodes!r}"
-            ) from None
+        given = sequence(self.nodes, "disclosure")
         nodes = {}  # node -> its position, in the given order
         for k, i in enumerate(given):
             i = integer(i, f"disclosure[{k}]")
@@ -478,9 +472,7 @@ def load_system(path) -> Union[LinearSystem, TimeVaryingSystem]:
         for name in ("A_seq", "C_seq"):
             if name not in raw or not isinstance(raw[name], list):
                 raise ValidationError(f"{name}: missing or not a list of matrices")
-        return TimeVaryingSystem(
-            n=raw["n"], m=raw["m"], A_seq=tuple(raw["A_seq"]), C_seq=tuple(raw["C_seq"]), noise=noise
-        )
+        return TimeVaryingSystem(raw["n"], raw["m"], raw["A_seq"], raw["C_seq"], noise)
     _require(raw, "A", "C")
     return LinearSystem(n=raw["n"], m=raw["m"], A=raw["A"], C=raw["C"], noise=noise)
 

@@ -240,6 +240,23 @@ class TestCheckDp:
         at = check_dp(sys_line2_first, DpBudget(epsilon=eps_star, delta=0.05, d=1, N=1))
         assert at.lhs == pytest.approx(at.rhs, rel=1e-12)
 
+    @pytest.mark.parametrize("refined", [False, True], ids=["standard", "refined"])
+    def test_boundary_slack_lies_between_1e_13_and_1e_9(self, monkeypatch, sys_line2_first, refined):
+        # BOUNDARY_RTOL = 1e-12 forgives a miss of rounding size and no more.
+        # lhs does not depend on d, and rhs moves with d^2 (standard, lhs >=
+        # rhs) or 1 / d^2 (refined, lhs <= rhs), so d can make the condition
+        # miss by a chosen relative amount.
+        base = check_dp(sys_line2_first, DpBudget(epsilon=1.0, delta=0.05, d=1, N=1), refined)
+        ratio = base.lhs / base.rhs if not refined else base.rhs / base.lhs
+
+        def satisfied(miss):
+            d = math.sqrt(ratio * (1 + miss))
+            return check_dp(sys_line2_first, DpBudget(1.0, 0.05, d, 1), refined).satisfied
+
+        assert satisfied(1e-13) and not satisfied(1e-9)
+        monkeypatch.setattr(dp, "BOUNDARY_RTOL", 1e-6)
+        assert satisfied(1e-9)
+
     def test_more_releases_need_more_noise(self, sys_line2_first):
         eps_star = 0.5 + q_inverse(0.05)
         budget1 = DpBudget(epsilon=eps_star + 0.01, delta=0.05, d=1, N=1)

@@ -1,6 +1,7 @@
 """Observability stacking, numerical rank, selectors."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,47 @@ class TestBundle:
         system = LinearSystem(n=2, m=1, A=10.0 * np.eye(2), C=[[1.0, 0.0]])
         with pytest.raises(ConditioningError, match="horizon"):
             build_bundle(system, T=200)
+
+
+class TestPowerGuard:
+    """The stored blocks C A^k are checked once, after the chain."""
+
+    @staticmethod
+    def guard_k(A, C, count=12):
+        """The k that the guard names, or None."""
+        try:
+            _output_power_blocks(np.asarray(A), np.asarray(C), count)
+        except ConditioningError as exc:
+            return int(exc.args[0].split("^")[1].split()[0])
+        return None
+
+    def test_stacked_samples_report_the_earliest_k(self):
+        # C = 1 and A = a: a = 1e40, 1e80 and 1e20 first pass 1e150 at k = 4,
+        # 2 and 8.  Stacked in any order, the earliest k over them is named.
+        scales = {1e40: 4, 1e80: 2, 1e20: 8}
+        for a, k in scales.items():
+            assert self.guard_k([[a]], [[1.0]]) == k
+        for stack, k in (((1e40, 1e80, 1e20), 2), ((1e40, 1e20), 4)):
+            for order in itertools.permutations(stack):
+                A = np.array(order)[:, None, None]
+                assert self.guard_k(A, np.ones((len(order), 1, 1))) == k
+        # Blocks up to the limit itself pass, and so does C past it (C is not checked).
+        assert self.guard_k([[1e75]], [[1.0]], count=3) is None
+        assert self.guard_k([[1e-100]], [[1e200]]) is None
+        assert self.guard_k([[1e75]], [[1.0]], count=4) == 3
+
+    @pytest.mark.parametrize("A, C, k", [
+        ([[1e250]], [[1e100]], 1),  # C A is inf already
+        ([[1e200, -1e200], [1e200, 1e200]], [[1.0, 1.0]], 1),  # inf, then NaN from inf - inf
+        ([[1e100]], [[1.0]], 2),
+    ], ids=["inf-at-once", "inf-then-nan", "limit-then-inf"])
+    def test_overflowing_chain_raises_without_warning(self, A, C, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.guard_k(A, C, count=40) == k
+            system = LinearSystem(n=len(A), m=1, A=A, C=C)
+            with pytest.raises(ConditioningError, match=rf"^entries of C A\^{k} exceed 1e\+150; "):
+                build_bundle(system, T=39)
 
 
 class TestTimeVarying:
@@ -567,6 +609,19 @@ class TestFullRankCertificate:
         assert 0.2 < lo < 0.4 and real(M, t_star)[0]  # sigma_min(M) = 0.4
         monkeypatch.undo()
         assert not real(M, t_star)[0]
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["large", "small"])
+    def test_only_the_scale_range_is_certified(self, monkeypatch, sign):
+        # ||M||_F^2 = 2^(+-399) lies within the factor _CERT_SCALE = 2^400 of
+        # 1 and is certified; 2^(+-401) lies outside and is not, although the
+        # bound would hold there (as a wider range shows).
+        def cert(e):
+            M = np.eye(2)[np.newaxis] * 2.0 ** (sign * e / 2 - 0.5)  # ||M||_F^2 = 2^(sign e)
+            return obsv._full_rank_certified(M, 0.0)[0]
+
+        assert cert(399) and not cert(401)
+        monkeypatch.setattr(obsv, "_CERT_SCALE", 2.0**1000)
+        assert cert(401)
 
 
 class TestSelectors:

@@ -11,6 +11,11 @@ rank over Q of the instantiated system and equals it unless p divides a
 nonzero minor.  A node verdict may also be refused with
 ``ConditioningError`` (exit 3), never answered wrongly.
 
+Past n = 30, bidirectional paths sensed at their first node are checked at
+n = 40-100.  With every weight 1 the exact rank over GF(2^61 - 1) is n, which
+proves rank n over Q (a minor that is nonzero mod p is nonzero), so n is
+both the weight-specific rank at all-ones weights and the generic rank.
+
 The float kernel falls short of the exact rank on many of these draws
 (ROADMAP, "Known failures").  Every case that fails is listed below and
 marked as a strict xfail, so a change that mends one turns the suite red
@@ -30,6 +35,7 @@ from ivpaudit import (
     ConditioningError,
     estimate_generic_rank,
     generic_node_privacy,
+    NetworkStructure,
     instantiate,
     node_private,
     privacy_index,
@@ -141,3 +147,43 @@ def test_weighted_node_verdict_is_exact_or_refused(density, seed):
     except ConditioningError:
         return
     assert verdict.private == private
+
+
+PATH_SIZES = (40, 60, 100)
+#: Sizes and seed of ``bench/workloads.py``'s sensed lines, its known-fault jobs.
+GENERIC_PATH_SIZES = (40, 60)
+GENERIC_PATH_SEED = 7
+
+
+def sensed_path(n: int) -> NetworkStructure:
+    """The bidirectional path 0 - 1 - ... - (n-1), sensed at node 0."""
+    edges = [(i, i + 1) for i in range(n - 1)] + [(i + 1, i) for i in range(n - 1)]
+    return NetworkStructure(n=n, m=1, edges=edges, sensor_edges=[(0, 0)])
+
+
+@functools.lru_cache(maxsize=None)
+def path_rank(n: int) -> int:
+    """The exact rank of the all-ones sensed path's O_ob."""
+    structure = sensed_path(n)
+    ones = [1] * structure.n_weights
+    return oracle.exact_privacy(n, structure.edges, structure.sensor_edges, ones).rank_hidden
+
+
+@pytest.mark.parametrize("n", PATH_SIZES)
+def test_sensed_path_is_observable(n):
+    assert path_rank(n) == n
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+@pytest.mark.parametrize("n", PATH_SIZES)
+def test_all_ones_path_rank_is_exact(n):
+    structure = sensed_path(n)
+    system = instantiate(structure, np.ones(structure.n_weights))
+    assert privacy_index(system).rank_Oob == path_rank(n)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("n", GENERIC_PATH_SIZES)
+def test_sensed_path_generic_rank_is_exact(n):
+    estimate = estimate_generic_rank(sensed_path(n), seed=GENERIC_PATH_SEED)
+    assert estimate.n_P_ob == path_rank(n)

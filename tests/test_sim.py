@@ -30,7 +30,7 @@ from ivpaudit import (
     simulate,
 )
 from ivpaudit import sim
-from ivpaudit._util import derive_seed
+from ivpaudit._util import MAGNITUDE_LIMIT, derive_seed
 from ivpaudit.dp import _noise_covariance
 from ivpaudit.obsv import _output_power_blocks, null_basis
 from ivpaudit.sim import EmpiricalDpReport, _noise_factor
@@ -125,9 +125,9 @@ class TestSimulate:
         with pytest.raises(ConditioningError, match="at step 0$"):
             simulate(sys_line2_first, [1e307, 1e307], N=3, T=T, seed=1)
         with pytest.raises(ConditioningError, match="at step 0$"):
-            simulate(sys_line2_first, [0.0, 2 * sim.STATE_OVERFLOW_LIMIT], N=3, T=T, seed=1)
+            simulate(sys_line2_first, [0.0, 2 * MAGNITUDE_LIMIT], N=3, T=T, seed=1)
         # The limit itself passes.
-        simulate(sys_line2_first, [0.0, sim.STATE_OVERFLOW_LIMIT], N=3, T=0, seed=1)
+        simulate(sys_line2_first, [0.0, MAGNITUDE_LIMIT], N=3, T=0, seed=1)
 
 
 #: Unit normals per Philox counter in the pinned stream design.
@@ -708,6 +708,45 @@ class TestEmpiricalDp:
             empirical_dp_report(
                 sys_line2_first, [[2.0, 1.0], [2.1, 1.0]], N_runs=10, bins=0
             )
+
+
+class TestProbeConstants:
+    """The probe's deciding constants, each pinned where it flips an output.
+    ``reference_probe`` reads the constants from ``sim``, so it cannot."""
+
+    # Noise-free and A = 0: every output of x0 is C x0, one point per value.
+    POINT = noiseless([[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]])
+
+    def test_noise_bound_is_three_sigma(self, monkeypatch):
+        # One cell holds all N_runs outputs of both values, so the only live
+        # ratio is 1 and its Poisson scale is sqrt(2 / N_runs) = 0.1.
+        def bound():
+            report = empirical_dp_report(self.POINT, [[0.0, 0.0], [1.0, 0.0]], 200, bins=1)
+            assert report.eps_hat == 0.0
+            return report.noise_bound
+
+        assert bound() == pytest.approx(0.3, rel=1e-15)
+        monkeypatch.setattr(sim, "NOISE_BOUND_SIGMAS", 2.0)
+        assert bound() == pytest.approx(0.2, rel=1e-15)
+
+    def test_disjoint_cells_decide_from_100_samples(self, monkeypatch):
+        # Two cells, each holding all N_runs outputs of one value: a violation
+        # once N_runs reaches DECISIVE_ZERO_COUNT = 100 (above min_count 10).
+        def violated(N_runs):
+            report = empirical_dp_report(self.POINT, [[0.0, 0.0], [1.0, 0.0]], N_runs, bins=2, T=0)
+            return report.dp_violation
+
+        assert violated(100) and not violated(99)
+        monkeypatch.setattr(sim, "DECISIVE_ZERO_COUNT", 50)
+        assert violated(99)
+
+    def test_adjacency_forgives_rounding_only(self, sys_line2_first):
+        # 0.1 - (-0.2) rounds to 0.30000000000000004 > 0.3: within the slack
+        # of 1e-12.  A distance of 0.3 + 1e-9 is not.
+        report = empirical_dp_report(sys_line2_first, [[0.1, 0.0], [-0.2, 0.0]], 10, d=0.3)
+        assert np.linalg.norm(report.x0_list[0] - report.x0_list[1]) > 0.3
+        with pytest.raises(ValidationError, match="beyond adjacency d=0.3$"):
+            empirical_dp_report(sys_line2_first, [[0.3 + 1e-9, 0.0], [0.0, 0.0]], 10, d=0.3)
 
 
 def reference_probe(system, x0s, N_runs, bins, seed, delta, min_count, T):

@@ -184,6 +184,18 @@ BAD_ARRAYS = [
         "x0-list", "x0_list[1]", lambda v, s, g: empirical_dp_report(s, [[2.0, 1.0], v], N_runs=10),
         [2.0, 1.0], [2.0, 1.0, 0.0], axes=False,
     ),
+    # A sequence of arrays that is not iterable at all.
+    pytest.param(
+        "x0_list", lambda v, s, g: empirical_dp_report(s, v, 10), 5.0, id="x0-list-not-iterable"
+    ),
+    pytest.param(
+        "A_seq", lambda v, s, g: TimeVaryingSystem(n=2, m=1, A_seq=v, C_seq=(C2, C2)), 5,
+        id="A-seq-not-iterable",
+    ),
+    pytest.param(
+        "C_seq", lambda v, s, g: TimeVaryingSystem(n=2, m=1, A_seq=(A2,), C_seq=v), 7,
+        id="C-seq-not-iterable",
+    ),
     *_bad_arrays("numerical-rank", "matrix", lambda v, s, g: numerical_rank(v), A2),
     *_bad_arrays(
         "select-columns", "matrix", lambda v, s, g: select_columns(v, HIDE_0), A2,
