@@ -6,6 +6,15 @@ attack, simulate.  Node indices on the command line and in JSON output are
 is fully deterministic given its argument list.  Exit codes: 0 success,
 2 invalid input, 3 numerical conditioning failure.
 
+Each ``cmd_*`` handler parses its arguments, makes one library call and
+formats the result; no verdict or noise floor is derived here.  ``audit``
+calls ``intrinsic.audit`` and ``calibrate`` calls ``dp.calibrate``, each
+building one bundle; ``check-dp``, ``generic-check`` and ``generic-index``
+call ``dp.check_dp``, ``generic.generic_node_privacy`` and
+``generic.estimate_generic_rank``; ``simulate`` and ``attack`` run
+``sim._simulate``, whose chunks reduce the outputs to moments, and ``attack``
+reads ``sim._attack``'s estimate off their mean.
+
 ``main`` parses with one parser per process, built on its first call (not at
 import) and reused after: ``parse_args`` writes only to the new namespace, so
 one job's arguments never leak into the next.  Each subcommand's ``cmd_*``
@@ -33,7 +42,7 @@ import numpy as np
 from . import dp, generic, intrinsic, sim
 from ._util import array
 from .errors import ConditioningError, ValidationError
-from .obsv import _horizon, build_bundle, null_basis
+from .obsv import _horizon
 from .sysmodel import load_structure, load_system, require_lti
 
 
@@ -85,59 +94,30 @@ def cmd_audit(args) -> dict:
     system = require_lti(load_system(args.system))
     # Every verdict reads O_ob, the same for every T >= n-1: T is checked and echoed only.
     T = _horizon(system.n, args.T)
-    bundle = build_bundle(system)
-    kern = null_basis(bundle.O_ob, args.rank_tol)
-    whole = intrinsic._whole_vector(kern)
-    report = intrinsic._index_report(kern)
+    P = _parse_nodes(args.public)
+    report = intrinsic.audit(system, _parse_nodes(args.node), P, rank_tol=args.rank_tol)
     out = {
         "n": system.n,
         "m": system.m,
         "T": T,
-        "whole_vector_private": bool(whole.private),
-        "rank_Oob": report.rank_Oob,
-        "index": report.index,
+        "whole_vector_private": bool(report.whole.private),
+        "rank_Oob": report.index.rank_Oob,
+        "index": report.index.index,
     }
-    if report.note:
-        out["note"] = report.note
+    if report.index.note:
+        out["note"] = report.index.note
     if args.node:
-        P = _parse_nodes(args.public)
-        verdicts = []
-        for i in _parse_nodes(args.node):
-            i, P_i = intrinsic._check_node(system.n, i, P)
-            v = intrinsic._evaluate_node(bundle.O_ob, kern, i, P_i, "all", want_eta=True)
-            verdicts.append(v.to_dict(one_based=True))
-        out["nodes"] = verdicts
+        out["nodes"] = [v.to_dict(one_based=True) for v in report.nodes]
     return out
 
 
 def cmd_calibrate(args) -> dict:
-    """The floor of ``dp.calibrate_sigma_omega`` and a ``dp.delta_min`` table
-    for the calibrated system, from one bundle and one ||O_T||."""
     system = require_lti(load_system(args.system))
     budget = dp.DpBudget(epsilon=args.epsilon, delta=args.delta, d=args.d, N=args.N, T=args.T)
-    dp._require_iid(system, "calibrate_sigma_omega")
-    k = dp.kappa(budget.epsilon, budget.delta)
-    bundle = build_bundle(system, budget.T)
-    norm_OT = dp._norm_OT(bundle.O_T)
-    c = dp._scale(budget.d, budget.N, norm_OT)
-    floor = float(c * k)
-    grid = (
-        _parse_vector(args.epsilon_grid, "epsilon-grid")
-        if args.epsilon_grid is not None
-        else [budget.epsilon]
-    )
-    if not grid:
+    grid = None if args.epsilon_grid is None else _parse_vector(args.epsilon_grid, "epsilon-grid")
+    if grid == []:
         raise ValidationError("epsilon-grid: empty grid")
-    s_min = floor**2  # lambda_min(Sigma) of the calibrated iid system
-    table = [
-        {"epsilon": eps, "delta_min": dp._delta_min(dp._epsilon(eps), c, s_min)} for eps in grid
-    ]
-    return {
-        "sigma_omega_floor": floor,
-        "kappa": k,
-        "norm_OT": norm_OT,
-        "delta_min_table": table,
-    }
+    return dp.calibrate(system, budget, grid)._asdict()
 
 
 def cmd_check_dp(args) -> dict:

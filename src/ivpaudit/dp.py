@@ -22,6 +22,9 @@ H_T is zero, so S is singular and lambda_min(Sigma) = sigma_omega^2 exactly,
 at every T: the standard iid check, ``delta_min`` and the calibration table
 use that closed form and need only ||O_T||.  The eigensolve serves general
 noise alone, floored at lambda_min(Sigma_T) (see ``_sigma_min``).
+``calibrate`` returns the noise floor, kappa, ||O_T|| and the delta_min
+table of the calibrated system from one bundle and one norm;
+``calibrate_sigma_omega`` reads its floor.
 
 Each spectral norm is read off one symmetric eigensolve (``eigvalsh``), not
 an SVD.  ||O_T|| = 2^e sqrt(lambda_max(X^T X)) for X = 2^-e O_T, e the
@@ -48,10 +51,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
+from typing import NamedTuple
 
 import numpy as np
 
-from ._util import integer, real
+from ._util import integer, real, sequence
 from .errors import ConditioningError, ValidationError
 from .obsv import _noise_map, build_bundle
 from .sysmodel import LinearSystem
@@ -65,6 +69,8 @@ __all__ = [
     "stacked_noise_covariance",
     "effective_covariance",
     "check_dp",
+    "Calibration",
+    "calibrate",
     "calibrate_sigma_omega",
     "delta_min",
 ]
@@ -248,11 +254,6 @@ def _norm_OT(O_T: np.ndarray) -> float:
     return math.ldexp(math.sqrt(_symmetric_norm(X.T @ X)), e)
 
 
-def _scale(d: float, N: int, norm_OT: float) -> float:
-    """c = d sqrt(N) ||O_T||: the noise floor is c kappa, and delta_min is read off c."""
-    return d * np.sqrt(N) * norm_OT
-
-
 def _delta_min(epsilon: float, c: float, s_min: float) -> float:
     """Smallest certifiable delta at ``epsilon`` for scale ``c`` and min eig ``s_min`` of Sigma."""
     if s_min <= 0:
@@ -296,13 +297,42 @@ def check_dp(sys: LinearSystem, budget: DpBudget, refined: bool = False) -> DpVe
     return DpVerdict(satisfied=ok, lhs=lhs, rhs=rhs, kappa=k, refined_used=False)
 
 
+class Calibration(NamedTuple):
+    """The noise floor sigma_omega = c kappa for c = d sqrt(N) ||O_T||, and
+    {"epsilon", "delta_min"} rows for the system calibrated to that floor;
+    ``_asdict()`` is the ``calibrate`` command's payload."""
+
+    sigma_omega_floor: float
+    kappa: float
+    norm_OT: float
+    delta_min_table: tuple[dict, ...]
+
+
+def calibrate(sys: LinearSystem, budget: DpBudget, epsilon_grid=None) -> Calibration:
+    """The smallest measurement-noise level certifying the budget for any
+    process-noise level, and ``delta_min`` at each epsilon of ``epsilon_grid``
+    (default: the budget's) once sigma_omega is set to it, from one bundle
+    and one ||O_T||.
+
+    The calibrated system's lambda_min(Sigma) is the floor squared (module
+    docstring), so the table needs no covariance.  The grid is checked
+    before O_T is built.
+    """
+    _require_iid(sys, "calibrate_sigma_omega")
+    k = kappa(budget.epsilon, budget.delta)
+    grid = [budget.epsilon] if epsilon_grid is None else sequence(epsilon_grid, "epsilon_grid")
+    grid = [_epsilon(eps) for eps in grid]
+    norm_OT = _norm_OT(build_bundle(sys, budget.T).O_T)
+    c = budget.d * np.sqrt(budget.N) * norm_OT
+    floor = float(c * k)
+    table = tuple({"epsilon": eps, "delta_min": _delta_min(eps, c, floor**2)} for eps in grid)
+    return Calibration(floor, k, norm_OT, table)
+
+
 def calibrate_sigma_omega(sys: LinearSystem, budget: DpBudget) -> float:
     """Smallest measurement-noise level certifying the budget for any
     process-noise level: sigma_omega = d sqrt(N) ||O_T|| kappa."""
-    _require_iid(sys, "calibrate_sigma_omega")
-    k = kappa(budget.epsilon, budget.delta)
-    norm_OT = _norm_OT(build_bundle(sys, budget.T).O_T)
-    return float(_scale(budget.d, budget.N, norm_OT) * k)
+    return calibrate(sys, budget, ()).sigma_omega_floor
 
 
 def delta_min(
@@ -317,4 +347,4 @@ def delta_min(
     epsilon, d, N = _epsilon(epsilon), _radius(d), integer(N, "N", 1)
     bundle = build_bundle(sys, T)
     s_min = _sigma_min(sys, bundle.O_T, bundle.T)
-    return _delta_min(epsilon, _scale(d, N, _norm_OT(bundle.O_T)), s_min)
+    return _delta_min(epsilon, d * np.sqrt(N) * _norm_OT(bundle.O_T), s_min)

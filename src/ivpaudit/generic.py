@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from ._util import derive_seed, integer
-from .intrinsic import IndexReport, PrivacyVerdict, _check_node, node_private
+from .intrinsic import IndexReport, PrivacyVerdict, _checked, node_private
 from .obsv import NullBasis, _output_power_blocks, hidden_ranks, null_bases
 from .sysmodel import (
     Configuration,
@@ -215,8 +215,7 @@ def estimate_generic_rank(
     """
     samples = integer(samples, "samples", 1)
     seed = integer(seed, "seed", 0)
-    P = DisclosureSet.coerce(P)
-    P.validate_range(structure.n)
+    P = DisclosureSet.coerce(P, structure.n)
 
     best, count = -1, 0
     for _, kernels in _kernel_blocks(structure, seed, signed, (_STEP_ESTIMATE,), samples):
@@ -243,7 +242,7 @@ def generic_node_privacy(
     one, so the estimate is final before any step-2 sample is read.
     Powers past the magnitude limit raise as in ``estimate_generic_rank``.
     """
-    i, P = _check_node(structure.n, i, P)
+    (i,), P = _checked(structure.n, (i,), P)
     samples = integer(samples, "samples", 1)
     seed = integer(seed, "seed", 0)
 

@@ -25,17 +25,22 @@ proves N_P full rank.
 Whenever the node is private, an explicit non-identifiability direction eta
 (zero on P, nonzero at i, annihilated by the observability map) is attached
 to the verdict as a constructive certificate.
+
+O_ob and its null basis are built in one place, ``_kernel``.  ``audit``
+returns the whole-vector verdict, the index and the verdicts of a node list
+under one disclosure set from one kernel, after checking the set and every
+node; ``whole_vector_private`` and ``privacy_index`` read their part of it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
-from ._util import integer
+from ._util import integer, sequence
 from .errors import ConditioningError, ValidationError
 from .obsv import GUARD_FACTOR, NullBasis, build_bundle, null_basis
 from .sysmodel import DisclosureSet, LinearSystem
@@ -43,6 +48,8 @@ from .sysmodel import DisclosureSet, LinearSystem
 __all__ = [
     "PrivacyVerdict",
     "IndexReport",
+    "Audit",
+    "audit",
     "whole_vector_private",
     "node_private",
     "privacy_index",
@@ -162,16 +169,23 @@ def _evaluate_node(O_ob, kern: NullBasis, i: int, P: DisclosureSet, condition, w
     )
 
 
-def _check_node(n: int, i: int, P) -> tuple[int, DisclosureSet]:
-    """Validated node index and disclosure set for a test of node ``i`` in an n-node system."""
-    P = DisclosureSet.coerce(P)
-    P.validate_range(n)
-    i = integer(i, "node")
-    if not 0 <= i < n:
-        raise ValidationError(f"node: index {i} out of range [0, {n - 1}]")
-    if i in P:
-        raise ValidationError(f"node: {i} is in the disclosure set; its value is already public")
-    return i, P
+def _checked(n: int, nodes, P) -> tuple[list, DisclosureSet]:
+    """Validated node indices and disclosure set for tests of ``nodes`` in an
+    n-node system; ``P`` is checked even when there are no nodes."""
+    P = DisclosureSet.coerce(P, n)
+    nodes = [integer(i, "node") for i in sequence(nodes, "nodes")]
+    for i in nodes:
+        if not 0 <= i < n:
+            raise ValidationError(f"node: index {i} out of range [0, {n - 1}]")
+        if i in P:
+            raise ValidationError(f"node: {i} is in the disclosure set; its value is already public")
+    return nodes, P
+
+
+def _kernel(sys: LinearSystem, rank_tol: float | None) -> tuple[np.ndarray, NullBasis]:
+    """O_ob and its null basis at cutoff ``rank_tol``: the one kernel every verdict reads."""
+    O_ob = build_bundle(sys).O_ob
+    return O_ob, null_basis(O_ob, rank_tol)
 
 
 def node_private(
@@ -191,31 +205,13 @@ def node_private(
     """
     if condition not in _CONDITIONS:
         raise ValidationError(f"condition: expected one of {_CONDITIONS}, got {condition!r}")
-    i, P = _check_node(sys.n, i, P)
-    O_ob = build_bundle(sys).O_ob
-    return _evaluate_node(O_ob, null_basis(O_ob, rank_tol), i, P, condition, want_eta)
-
-
-def _whole_vector(kern: NullBasis) -> PrivacyVerdict:
-    n = kern.N.shape[0]
-    private = kern.rank < n
-    return PrivacyVerdict(
-        node="whole-vector",
-        P=DisclosureSet(),
-        private=private,
-        ranks={"rank_Oob": kern.rank, "n": n},
-        certified_by="prop1",
-        eta=kern.N[:, -1].copy() if private else None,
-    )
+    (i,), P = _checked(sys.n, (i,), P)
+    return _evaluate_node(*_kernel(sys, rank_tol), i, P, condition, want_eta)
 
 
 def whole_vector_private(sys: LinearSystem, rank_tol: float | None = None) -> PrivacyVerdict:
     """Joint test: the full initial state is non-identifiable iff O_ob drops rank."""
-    return _whole_vector(null_basis(build_bundle(sys).O_ob, rank_tol))
-
-
-def _index_report(kern: NullBasis) -> IndexReport:
-    return IndexReport(index=kern.N.shape[1] - 1, rank_Oob=kern.rank, method="formula")
+    return audit(sys, rank_tol=rank_tol).whole
 
 
 def privacy_index(sys: LinearSystem, rank_tol: float | None = None) -> IndexReport:
@@ -224,7 +220,38 @@ def privacy_index(sys: LinearSystem, rank_tol: float | None = None) -> IndexRepo
     A negative value means no hidden node stays private even with nothing
     published (fully observable network).
     """
-    return _index_report(null_basis(build_bundle(sys).O_ob, rank_tol))
+    return audit(sys, rank_tol=rank_tol).index
+
+
+class Audit(NamedTuple):
+    """The whole-vector verdict, the closed-form index and one verdict per
+    node, all read off one null basis of O_ob."""
+
+    whole: PrivacyVerdict
+    index: IndexReport
+    nodes: tuple[PrivacyVerdict, ...]
+
+
+def audit(sys: LinearSystem, nodes=(), P=None, rank_tol: float | None = None) -> Audit:
+    """``whole_vector_private``, ``privacy_index`` and ``node_private`` for
+    each of ``nodes`` under ``P`` (with eta), from one bundle and one null
+    basis of O_ob.
+
+    ``P`` and every node are checked before O_ob is built, even with no nodes.
+    """
+    nodes, P = _checked(sys.n, nodes, P)
+    O_ob, kern = _kernel(sys, rank_tol)
+    n, k = kern.N.shape
+    whole = PrivacyVerdict(
+        node="whole-vector",
+        P=DisclosureSet(),
+        private=k > 0,
+        ranks={"rank_Oob": kern.rank, "n": n},
+        certified_by="prop1",
+        eta=kern.N[:, -1].copy() if k else None,
+    )
+    verdicts = tuple(_evaluate_node(O_ob, kern, i, P, "all", True) for i in nodes)
+    return Audit(whole, IndexReport(index=k - 1, rank_Oob=kern.rank, method="formula"), verdicts)
 
 
 def _level_holds(kern: NullBasis, n: int, level: int) -> bool:
@@ -300,7 +327,7 @@ def privacy_index_bruteforce(
             f"n: brute-force enumeration capped at n <= {BRUTEFORCE_MAX_NODES}, got {n}"
         )
     l_max = n - 1 if l_max is None else min(integer(l_max, "l_max", 0), n - 1)
-    kern = null_basis(build_bundle(sys).O_ob, rank_tol)
+    kern = _kernel(sys, rank_tol)[1]
     cut = min(kern.row_tol, GUARD_FACTOR * n * np.finfo(float).eps)
     support = kern._replace(N=kern.N[np.linalg.norm(kern.N, axis=1) > cut])
     s = support.N.shape[0]

@@ -408,8 +408,7 @@ class Selector:
 
     @classmethod
     def for_nodes(cls, n: int, P) -> "Selector":
-        P = DisclosureSet.coerce(P)
-        P.validate_range(n)
+        P = DisclosureSet.coerce(P, n)
         eye = np.eye(n)
         E_P = eye[:, list(P.nodes)] if len(P) else np.zeros((n, 0))
         E_Pbar = eye[:, list(P.complement(n))]

@@ -31,7 +31,10 @@ thread that ran it, and the chunks' moments are merged in chunk order
 the ``simulate`` and ``attack`` commands read the merged moments and hold
 an N-row ``Y`` only when they write it to a CSV: without one, their memory
 does not grow with N.  They still run every trajectory's recurrence, so the
-state guard reports the exact earliest step.
+state guard reports the exact earliest step.  The outputs each chunk stores
+are checked against the same limit once, after its recurrence, so an output
+past it raises ``ConditioningError`` at the earliest step over the batch
+instead of reaching the moments as inf or NaN.
 
 The empirical probe compares per-coordinate output histograms between
 adjacent initial values and extracts the worst-case likelihood-ratio bound
@@ -268,29 +271,38 @@ def _merge(a: _Moments, b: _Moments) -> _Moments:
 def _simulate_chunk(
     sys: LinearSystem, x0: np.ndarray, start: int, stop: int,
     T: int, seed: int, L: np.ndarray | None, Y: np.ndarray | None,
-) -> tuple[int | None, _Moments | None]:
+) -> tuple[tuple[int, str] | None, _Moments | None]:
     """Run trajectories start, ..., stop - 1 and reduce their outputs to moments.
 
     Draws the chunk's blocks with ``_draw_noise`` and runs the recurrence,
     writing the outputs into rows start:stop of ``Y`` when one is given and
-    over the chunk's measurement noise ``W`` otherwise.  Returns the earliest
-    step at which one of its states exceeded ``MAGNITUDE_LIMIT`` (the
-    recurrence stops there, with no moments), or None with the moments of
-    its output rows.
+    over the chunk's measurement noise ``W`` otherwise.  The states, which
+    it overwrites, are checked against ``MAGNITUDE_LIMIT`` at every step, and
+    the recurrence stops at the first step past it; the outputs written are
+    checked once, after the loop.  Returns the earliest (step, "output") or
+    (step, "state") past the limit, with no moments, or None with the
+    moments of its output rows.  The recurrence runs with overflow warnings
+    off, so an inf or NaN reaches the checks instead of escaping as a warning.
     """
     n, m = sys.n, sys.m
     V, W = _draw_noise(sys, stop - start, T, seed, start, L)
     out = W if Y is None else Y[start:stop]
     x = np.broadcast_to(x0, (stop - start, n)).copy()
-    for t in range(T + 1):
-        cols = slice(t * m, (t + 1) * m)
-        np.add(x @ sys.C.T, W[:, cols], out=out[:, cols])
-        if t == T:
-            break
-        x = x @ sys.A.T
-        x += V[:, t * n:(t + 1) * n]  # in place: two state arrays at a time, not three
-        if beyond_limit(x):
-            return t + 1, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T + 1):
+            cols = slice(t * m, (t + 1) * m)
+            np.add(x @ sys.C.T, W[:, cols], out=out[:, cols])
+            if t == T:
+                break
+            x = x @ sys.A.T
+            x += V[:, t * n:(t + 1) * n]  # in place: two state arrays at a time, not three
+            if beyond_limit(x):
+                break
+        # Outputs 0 .. t are written; t < T means the state at step t + 1 is past the limit.
+        written = out[:, : (t + 1) * m]
+        if beyond_limit(written) or t < T:  # one check over the chunk; per column only on failure
+            bad = np.flatnonzero(beyond_limit(written, 0))
+            return ((int(bad[0]) // m, "output") if bad.size else (t + 1, "state")), None
     mean = out.mean(axis=0)
     dev = out - mean
     dev *= dev
@@ -329,7 +341,10 @@ def simulate(
 
     The state guard checks x0 as step 0, then each chunk's states, which it
     overwrites, at every step, and raises ``ConditioningError`` at the earliest
-    step past ``_util.MAGNITUDE_LIMIT`` over all trajectories.
+    step past ``_util.MAGNITUDE_LIMIT`` over all trajectories.  Each chunk's
+    outputs are checked once, after its recurrence, and the error names the
+    earliest step over all trajectories at which a state or an output passed
+    the limit.
     """
     return _simulate(sys, x0, N, T, seed, keep=True)[2]
 
@@ -363,14 +378,14 @@ def _simulate(
     run = functools.partial(_simulate_chunk, sys, x0, T=T, seed=seed, L=L, Y=Y)
     workers = min(_usable_cpus(), len(cuts) + 1, CHUNKS_IN_FLIGHT)
     if workers == 1:
-        step, moments = _merge_chunks(itertools.starmap(run, chunks))
+        bad, moments = _merge_chunks(itertools.starmap(run, chunks))
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(workers) as pool:
-            step, moments = _merge_chunks(_in_order(pool, run, chunks, 2 * workers))
-    if step is not None:
-        raise ConditioningError(f"state magnitude exceeded {MAGNITUDE_LIMIT:g} at step {step}")
+            bad, moments = _merge_chunks(_in_order(pool, run, chunks, 2 * workers))
+    if bad is not None:
+        raise ConditioningError(f"{bad[1]} magnitude exceeded {MAGNITUDE_LIMIT:g} at step {bad[0]}")
     if not keep:
         return T, moments, None
     Y.flags.writeable = False
@@ -396,16 +411,17 @@ def _in_order(pool, run, chunks, ahead: int):
             future.cancel()
 
 
-def _merge_chunks(results) -> tuple[int | None, _Moments | None]:
-    """The earliest guard step over ``_simulate_chunk`` results taken in chunk
-    order, or None with their merged moments; each result is dropped once merged."""
-    step = moments = None
-    for bad, part in results:
-        if bad is not None:
-            step = bad if step is None else min(step, bad)
-        elif step is None:
+def _merge_chunks(results) -> tuple[tuple[int, str] | None, _Moments | None]:
+    """The earliest (step, what) past the limit over ``_simulate_chunk``
+    results taken in chunk order, or None with their merged moments; each
+    result is dropped once merged."""
+    bad = moments = None
+    for past, part in results:
+        if past is not None:
+            bad = past if bad is None else min(bad, past)
+        elif bad is None:
             moments = part if moments is None else _merge(moments, part)
-    return step, moments
+    return bad, moments
 
 
 def mle_attack(sys: LinearSystem, batch: TrajectoryBatch) -> AttackResult:

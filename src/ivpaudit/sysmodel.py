@@ -306,12 +306,14 @@ class DisclosureSet:
         object.__setattr__(self, "nodes", tuple(nodes))
 
     @classmethod
-    def coerce(cls, value: Union["DisclosureSet", Iterable[int], None]) -> "DisclosureSet":
-        if value is None:
-            return cls()
-        if isinstance(value, DisclosureSet):
-            return value
-        return cls(value)
+    def coerce(
+        cls, value: Union["DisclosureSet", Iterable[int], None], n: int | None = None
+    ) -> "DisclosureSet":
+        """``value`` as a set (None is the empty set), range-checked for n nodes when n is given."""
+        P = value if isinstance(value, DisclosureSet) else cls(() if value is None else value)
+        if n is not None:
+            P.validate_range(n)
+        return P
 
     def validate_range(self, n: int) -> None:
         for i in self.nodes:

@@ -90,7 +90,7 @@ class TestAudit:
             calls.append(args)
             return build(*args, **kwargs)
 
-        for module in (ivpaudit, obsv, intrinsic, ivpaudit.cli, ivpaudit.dp):
+        for module in (ivpaudit, obsv, intrinsic, ivpaudit.dp):
             monkeypatch.setattr(module, "build_bundle", counted)
         payload = run_json(
             capsys, ["audit", "--system", path, "--node", "1,2", "--public", "3"], "audit"
@@ -153,6 +153,19 @@ class TestAudit:
         code, _, err = run_cli(capsys, ["audit", "--system", file_line2_sum, "--node", "3"])
         assert code == 2
         assert "range" in err
+
+    @pytest.mark.parametrize(
+        "public, message",
+        [
+            ("0", "node list: indices are 1-based, got 0"),
+            ("1,1", "disclosure[1]: duplicate node 0"),
+            ("3", "disclosure: node 2 out of range [0, 1]"),
+            ("x", "node list: 'x' is not an integer"),
+        ],
+    )
+    def test_disclosure_checked_without_nodes(self, capsys, file_line2_sum, public, message):
+        code, out, err = run_cli(capsys, ["audit", "--system", file_line2_sum, "--public", public])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["audit", "--system", str(tmp_path / "no.json")])
@@ -257,7 +270,7 @@ class TestCalibrate:
             return wrapper
 
         bundle = counted("build_bundle", obsv.build_bundle)
-        for module in (ivpaudit, obsv, intrinsic, ivpaudit.cli, ivpaudit.dp):
+        for module in (ivpaudit, obsv, intrinsic, ivpaudit.dp):
             monkeypatch.setattr(module, "build_bundle", bundle)
         covariance = counted("_noise_covariance", ivpaudit.dp._noise_covariance)
         monkeypatch.setattr(ivpaudit.dp, "_noise_covariance", covariance)
@@ -847,6 +860,24 @@ def test_state_guard_without_csv_exits_3_at_the_earliest_step(
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (3, "")
     assert err == "conditioning error: state magnitude exceeded 1e+150 at step 151\n"
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["moments", "csv"])
+@pytest.mark.parametrize("command", ["simulate", "attack"])
+def test_output_guard_exits_3(capsys, tmp_path, command, out):
+    # C x0 = 1e320 overflows at step 0: exit 3, not a "y_mean" of Infinity,
+    # which is not JSON, and no CSV.
+    path = write_system_file(
+        tmp_path, "loud.json", {"n": 1, "m": 1, "A": [[0.5]], "C": [[1e200]]}
+    )
+    csv_path = tmp_path / "batch.csv"
+    argv = [command, "--system", path, "--x0", "1e120", "--N", "2", "--T", "2", "--seed", "0"]
+    if out:
+        argv += ["--out" if command == "simulate" else "--save-batch", str(csv_path)]
+    code, stdout, err = run_cli(capsys, argv)
+    assert (code, stdout) == (3, "")
+    assert err == "conditioning error: output magnitude exceeded 1e+150 at step 0\n"
+    assert not csv_path.exists()
 
 
 @pytest.mark.parametrize(

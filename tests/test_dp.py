@@ -394,6 +394,41 @@ class TestCalibration:
             calibrate_sigma_omega(general, DpBudget(epsilon=1, delta=0.05, d=1, N=1, T=0))
 
 
+class TestCalibrate:
+    def test_floor_and_table_from_one_bundle(self, monkeypatch, sys_line2_first):
+        budget = DpBudget(epsilon=1, delta=0.05, d=1.5, N=4)
+        calls = []
+        build = dp.build_bundle
+        monkeypatch.setattr(dp, "build_bundle", lambda *a, **k: calls.append(a) or build(*a, **k))
+        result = dp.calibrate(sys_line2_first, budget, [0.5, 2.0])
+        assert len(calls) == 1
+        monkeypatch.undo()
+        floor = calibrate_sigma_omega(sys_line2_first, budget)
+        assert result.sigma_omega_floor == floor
+        assert result.kappa == kappa(1, 0.05)
+        assert result.norm_OT == pytest.approx(
+            np.linalg.norm(build_bundle(sys_line2_first).O_T, 2), rel=1e-13
+        )
+        calibrated = make_iid(sys_line2_first.A, sys_line2_first.C, 1.0, floor)
+        assert result.delta_min_table == tuple(
+            {"epsilon": eps, "delta_min": delta_min(calibrated, eps, d=1.5, N=4)}
+            for eps in (0.5, 2.0)
+        )
+
+    def test_default_grid_is_the_budget_epsilon(self, sys_line2_first):
+        budget = DpBudget(epsilon=1.5, delta=0.05, d=1, N=1)
+        table = dp.calibrate(sys_line2_first, budget).delta_min_table
+        assert [row["epsilon"] for row in table] == [1.5]
+        assert dp.calibrate(sys_line2_first, budget, []).delta_min_table == ()
+
+    @pytest.mark.parametrize("grid", [[1.0, 0.0], [math.nan], 2.0])
+    def test_grid_checked_before_the_bundle(self, monkeypatch, sys_line2_first, grid):
+        monkeypatch.setattr(dp, "build_bundle", None)  # reached only after the checks
+        budget = DpBudget(epsilon=1, delta=0.05, d=1, N=1)
+        with pytest.raises(ValidationError, match="epsilon"):
+            dp.calibrate(sys_line2_first, budget, grid)
+
+
 class TestDeltaMin:
     def test_formula_oracle(self, sys_line2_first):
         sigma = effective_covariance(sys_line2_first)

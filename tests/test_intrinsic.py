@@ -257,6 +257,52 @@ class TestWholeVector:
         assert verdict.ranks == {"rank_Oob": 2, "n": 2}
 
 
+class TestAudit:
+    def test_matches_the_single_verdicts(self, struct_line3):
+        system = instantiate(struct_line3, np.ones(5))
+        report = intrinsic.audit(system, [0, 1], (2,))
+        assert report.whole.to_dict() == whole_vector_private(system).to_dict()
+        assert report.index.to_dict() == privacy_index(system).to_dict()
+        assert [v.to_dict() for v in report.nodes] == [
+            node_private(system, i, (2,)).to_dict() for i in (0, 1)
+        ]
+        assert intrinsic.audit(system).nodes == ()
+
+    def test_one_bundle_and_one_kernel(self, monkeypatch, sys_line2_sum):
+        calls = []
+
+        def counted(name):
+            fn = getattr(intrinsic, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("build_bundle", "null_basis"):
+            monkeypatch.setattr(intrinsic, name, counted(name))
+        intrinsic.audit(sys_line2_sum, [0, 1])
+        # One null_basis of O_ob, and one of N_P per node verdict.
+        assert calls == ["build_bundle", "null_basis", "null_basis", "null_basis"]
+
+    @pytest.mark.parametrize(
+        "nodes, P, message",
+        [
+            ((), (2,), "disclosure: node 2 out of range"),
+            ((), (1, 1), "duplicate"),
+            ((0, 5), (), "node: index 5 out of range"),
+            ((0, 1), (1,), "node: 1 is in the disclosure set"),
+            (("x",), (), "node: expected an integer"),
+            (3, (), "nodes: expected a sequence"),
+        ],
+    )
+    def test_checks_before_building(self, monkeypatch, sys_line2_sum, nodes, P, message):
+        monkeypatch.setattr(intrinsic, "build_bundle", None)  # reached only after the checks
+        with pytest.raises(ValidationError, match=message):
+            intrinsic.audit(sys_line2_sum, nodes, P)
+
+
 class TestPrivacyIndex:
     def test_identity_output_index(self):
         system = LinearSystem(n=3, m=3, A=np.zeros((3, 3)), C=np.eye(3))

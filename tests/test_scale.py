@@ -12,9 +12,11 @@ nonzero minor.  A node verdict may also be refused with
 ``ConditioningError`` (exit 3), never answered wrongly.
 
 Past n = 30, bidirectional paths sensed at their first node are checked at
-n = 40-100.  With every weight 1 the exact rank over GF(2^61 - 1) is n, which
+n = 40-200.  With every weight 1 the exact rank over GF(2^61 - 1) is n, which
 proves rank n over Q (a minor that is nonzero mod p is nonzero), so n is
-both the weight-specific rank at all-ones weights and the generic rank.
+both the weight-specific rank at all-ones weights and the generic rank.  One
+dense system, A = G / sqrt(n) for a standard normal G and C = e_1 at
+n = 100, is checked the same way, its weights read as dyadic rationals.
 
 The float kernel falls short of the exact rank on many of these draws
 (ROADMAP, "Known failures").  Every case that fails is listed below and
@@ -33,6 +35,7 @@ import pytest
 
 from ivpaudit import (
     ConditioningError,
+    LinearSystem,
     estimate_generic_rank,
     generic_node_privacy,
     NetworkStructure,
@@ -149,7 +152,7 @@ def test_weighted_node_verdict_is_exact_or_refused(density, seed):
     assert verdict.private == private
 
 
-PATH_SIZES = (40, 60, 100)
+PATH_SIZES = (40, 60, 100, 200)
 #: Sizes and seed of ``bench/workloads.py``'s sensed lines, its known-fault jobs.
 GENERIC_PATH_SIZES = (40, 60)
 GENERIC_PATH_SEED = 7
@@ -187,3 +190,29 @@ def test_all_ones_path_rank_is_exact(n):
 def test_sensed_path_generic_rank_is_exact(n):
     estimate = estimate_generic_rank(sensed_path(n), seed=GENERIC_PATH_SEED)
     assert estimate.n_P_ob == path_rank(n)
+
+
+#: Size and seed of the dense case.
+DENSE_SIZE = 100
+DENSE_SEED = 100
+
+
+@functools.lru_cache(maxsize=None)
+def dense_case():
+    """(system, exact rank of O_ob) for A = G / sqrt(n), G standard normal, and C = e_1."""
+    n = DENSE_SIZE
+    A = np.random.default_rng(DENSE_SEED).standard_normal((n, n)) / np.sqrt(n)
+    edges = [(src, dst) for src in range(n) for dst in range(n)]  # weight A[dst, src]
+    weights = [field_element(float(A[dst, src])) for src, dst in edges] + [1]
+    rank = oracle.exact_privacy(n, edges, [(0, 0)], weights).rank_hidden
+    return LinearSystem(n=n, m=1, A=A, C=np.eye(1, n)), rank
+
+
+def test_dense_case_is_observable():
+    assert dense_case()[1] == DENSE_SIZE
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+def test_dense_rank_is_exact():
+    system, rank = dense_case()
+    assert privacy_index(system).rank_Oob == rank

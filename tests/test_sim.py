@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,19 @@ class TestSimulate:
             simulate(sys_line2_first, [0.0, 2 * MAGNITUDE_LIMIT], N=3, T=T, seed=1)
         # The limit itself passes.
         simulate(sys_line2_first, [0.0, MAGNITUDE_LIMIT], N=3, T=0, seed=1)
+
+    def test_output_guard(self):
+        # x0 = 1e120 passes the state guard, but C x0 overflows to inf at step
+        # 0; the overflow reaches the guard instead of a RuntimeWarning.
+        system = LinearSystem(n=1, m=1, A=[[0.5]], C=[[1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConditioningError, match=r"^output magnitude .* at step 0$"):
+                simulate(system, [1e120], N=2, T=2, seed=0)
+        # Finite outputs past the limit too: 1e140 * 2^t first passes 1e150 at t = 34.
+        system = LinearSystem(n=1, m=1, A=[[2.0]], C=[[1e140]])
+        with pytest.raises(ConditioningError, match=r"^output magnitude .* at step 34$"):
+            simulate(system, [1.0], N=2, T=40, seed=0)
 
 
 #: Unit normals per Philox counter in the pinned stream design.
@@ -349,6 +363,19 @@ class TestChunks:
             with pytest.raises(ConditioningError, match="at step 151$"):
                 simulate(system, [0.0], N=24, T=400, seed=4)
             with pytest.raises(ConditioningError, match="at step 152$"):
+                simulate(system, [0.0], N=8, T=400, seed=4)
+
+    def test_output_guard_reports_earliest_step_across_chunks(self, monkeypatch):
+        # The system above with C = 1e10: outputs pass the limit ten steps
+        # before the states do, at step 142 in the first chunk and 141 in a
+        # later one, so the outputs are checked, not only the states.
+        system = LinearSystem(n=1, m=1, A=[[10.0]], C=[[1e10]], noise=NoiseModel.iid(1.0, 0.0))
+        chunk_rows(monkeypatch, system, 400, 8)
+        for workers in (1, 4):
+            force_workers(monkeypatch, workers)
+            with pytest.raises(ConditioningError, match="^output .* at step 141$"):
+                simulate(system, [0.0], N=24, T=400, seed=4)
+            with pytest.raises(ConditioningError, match="^output .* at step 142$"):
                 simulate(system, [0.0], N=8, T=400, seed=4)
 
     def test_short_horizon_chunks_count_the_states(self):
